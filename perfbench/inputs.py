@@ -23,6 +23,10 @@ LINE_US = 10_000  # feed clock step per wire line: 100 msg/s
 _R = 6_371_000.0
 
 QUERY_KINDS = ("within", "same_way", "stationary", "next_nodes", "near_node")
+# The round-robin order of a query plan. objects_on_same_way map-matches
+# every tracked object and costs 5-100x any other query; the four others
+# run twice per round so that they gather more samples in a run.
+QUERY_CYCLE = ("within", "stationary", "next_nodes", "near_node") * 2 + ("same_way",)
 
 
 def offset_to_wgs84(east_m: float, north_m: float) -> tuple[float, float]:
@@ -269,14 +273,14 @@ class WorkloadInputs:
 
 
 def _query_plan(rng: random.Random, n: int, egos: list[str], nodes: list[int],
-                within_m: float, near_m: float, window_s: float = 5.0) -> list[Query]:
+                within_m: float, near_m: float) -> list[Query]:
     out = []
     for i in range(n):
-        kind = QUERY_KINDS[i % len(QUERY_KINDS)]
+        kind = QUERY_CYCLE[i % len(QUERY_CYCLE)]
         if kind == "near_node":
             out.append(Query(kind, node=rng.choice(nodes), radius_m=near_m))
         elif kind == "stationary":
-            out.append(Query(kind, window_s=window_s))
+            out.append(Query(kind))
         else:
             out.append(Query(kind, ego=rng.choice(egos), radius_m=within_m))
     return out
@@ -385,7 +389,8 @@ DISTRICT_TTL_S = 5.0
 
 def district_query(seed: int, n_lines: int, n_queries: int) -> WorkloadInputs:
     """A ~10^3-segment district with 10 stations x 20 objects; the
-    prefill is one L4 TTL of history, the feed continues it at 100 msg/s."""
+    prefill is one L4 TTL of history, the feed continues it at 100 msg/s
+    of feed clock, and eviction keeps one TTL of history in the store."""
     rng = random.Random(seed)
     grid = road_grid(rng, blocks=12, spacing_m=150.0)
     stations = _stations(rng, grid, DISTRICT_STATIONS, 20, span=70.0)
@@ -405,11 +410,8 @@ def district_query(seed: int, n_lines: int, n_queries: int) -> WorkloadInputs:
         config={"ttl_s": DISTRICT_TTL_S, "archive": False},
         prefill=prefill,
         feed=feed,
-        # A 30 s lookback keeps every stationary query well above the
-        # interpreter's 5 ms switch interval, so the stream interrupts
-        # each one several times rather than by chance once or not at all.
-        queries=_query_plan(rng, n_queries, egos, nodes, within_m=150.0, near_m=100.0, window_s=30.0),
-        oracle_sample=_query_plan(rng, 10, egos, nodes, within_m=150.0, near_m=100.0, window_s=30.0),
+        queries=_query_plan(rng, n_queries, egos, nodes, within_m=150.0, near_m=100.0),
+        oracle_sample=_query_plan(rng, 10, egos, nodes, within_m=150.0, near_m=100.0),
     )
 
 

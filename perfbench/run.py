@@ -2,18 +2,15 @@
 
     python3 perfbench/run.py --workload NAME [--seed N] [--seconds S] [--trace 0|1]
 
-Workloads (see BENCHMARK.json for why each is here):
-  station-stream   one station, 20 objects per CPM, closed loop, with
-                   reads between chunks of the feed
+Workloads (see BENCHMARK.json for why each is here), each a closed-loop
+feed on one connection in ten chunks, with closed-loop reads of the five
+queries after each chunk:
+  station-stream   one station, 20 objects per CPM, infinite L4 TTL
   city-feed        ~10^4-segment map, 200 stations + probe payloads,
-                   archiving eviction on the feed clock, with reads
-                   between chunks of the feed
-  district-query   ~10^3-segment map, 200 objects; open-loop 100 msg/s
-                   stream beside a closed-loop querier. Not listed in
-                   BENCHMARK.json: its ingest latency is made of 5 ms
-                   interpreter-lock hand-offs to the busy querier, and
-                   its run-to-run spread (0.3 to 2 of the median on a
-                   2-vCPU host) is beyond any bound. Run it by hand.
+                   archiving eviction on the feed clock
+  district-query   ~10^3-segment map, ~200 tracked objects with one TTL
+                   of history, eviction on the feed clock; reads at the
+                   latest line
 
 Each measurement runs perfbench/workload.py in a fresh process. With
 --trace 0 the result holds every end-to-end metric. With --trace 1 the
@@ -38,19 +35,23 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 DEFAULT_SEED = 1
-DEFAULT_SECONDS = 30
+DEFAULT_SECONDS = 20
 RUN_LIMIT_S = 175
 
 # The end-to-end metrics of the result, as listed in BENCHMARK.json.
-# The report also prints metrics that carry no bound: failed_share, which
-# is 0 on a good run (attempted and failed carry it), and the medians of
-# ingest and query latency, which on a host whose speed switches between
-# two levels for seconds at a time jump between them from run to run,
-# while p90 and p99 stay on the slower one.
+# Latency carries its bounds on the medians. The tails are printed with
+# their sample counts but carry no bound: on a shared 2-vCPU host the
+# ingest p99 moved by up to 0.8 of its median over ten seeds, and on
+# city-feed a fixed 8-14 % of the objects_within, objects_near_node and
+# objects_on_same_way calls contain a full collection of the interpreter's
+# garbage collector, so their p90 sits on the edge between two modes.
+# Also printed without a bound: failed_share, which is 0 on a good run
+# (attempted and failed carry it), and the collector's share of the
+# timed phase and the cost of one full collection over the set-up heap.
 END_TO_END = (
-    "setup_s", "ingest_msgs_per_s", "ingest_p99_ms",
-    "q_within_p90_ms", "q_same_way_p90_ms", "q_stationary_p90_ms", "q_next_nodes_p90_ms",
-    "q_near_node_p90_ms", "peak_rss_mb",
+    "setup_s", "ingest_msgs_per_s", "ingest_p50_ms",
+    "q_within_p50_ms", "q_same_way_p50_ms", "q_stationary_p50_ms", "q_next_nodes_p50_ms",
+    "q_near_node_p50_ms", "peak_rss_mb",
 )
 
 # Which end-to-end metric each per-layer metric should move, and on which
@@ -58,7 +59,6 @@ END_TO_END = (
 SHOULD_MOVE = {
     "feed.handle_line_ms": "ingest_p50_ms, ingest_msgs_per_s on station-stream, city-feed",
     "feed.transport_ms": "ingest_p50_ms on station-stream",
-    "feed.generator_lag_ms": "validity of the ingest numbers on district-query (open loop)",
     "ingest.parse_cpm_ms": "ingest_p50_ms on station-stream",
     "ingest.cpm_to_openlabel_ms": "ingest_p50_ms on station-stream",
     "ingest.parse_openlabel_ms": "ingest_p50_ms on city-feed (the only OpenLABEL traffic)",
@@ -68,27 +68,28 @@ SHOULD_MOVE = {
     "store.lock_acquires_per_msg": "ingest_p50_ms on city-feed, station-stream",
     "store.relation_keys_read_per_msg": "ingest_msgs_per_s on city-feed; ~140 on station-stream, no change there",
     "store.write_calls_ms": "ingest_p50_ms on station-stream, city-feed",
-    "store.write_lock_wait_ms": "ingest_p99_ms on city-feed (eviction holds the write lock); district-query",
-    "store.read_lock_wait_ms": "q_*_p90_ms on district-query (reads beside writes)",
+    "store.write_lock_wait_ms": "ingest_p99_ms on city-feed, district-query (eviction holds the write lock)",
     "store.evict_pass_ms": "ingest_p99_ms on city-feed",
     "store.evict_pass_max_ms": "ingest_p99_ms on city-feed",
     "store.evict_passes": "ingest_p99_ms on city-feed (fixed by the feed clock)",
     "store.evicted_frames": "ingest_p99_ms on city-feed (fixed by the feed clock)",
-    "store.snapshot_ms": "q_within_*, q_near_node_* on city-feed (~16k elements per snapshot)",
-    "store.snapshot_entries_per_row": "q_within_*, q_near_node_* on city-feed",
-    "store.query_frames_calls_per_query": "q_stationary_* on city-feed (one call per tracked object)",
-    "roadnet.map_match_ms": "q_same_way_*, q_next_nodes_* on city-feed (~10^4 segments)",
-    "roadnet.map_match_calls_per_query": "q_same_way_*, q_next_nodes_* on city-feed",
-    "roadnet.ways_scanned_per_match": "q_same_way_* on city-feed; 24 on station-stream",
-    "roadnet.segments_projected_per_match": "q_same_way_* on city-feed",
-    "roadnet.parse_osm_s": "setup_s on city-feed",
-    "roadnet.load_into_store_s": "setup_s on city-feed",
-    "api.objects_within_self_ms": "q_within_* on city-feed, station-stream",
-    "api.objects_on_same_way_self_ms": "q_same_way_* on city-feed, station-stream",
-    "api.stationary_objects_self_ms": "q_stationary_* on city-feed, station-stream",
-    "api.next_road_nodes_self_ms": "q_next_nodes_* on city-feed, station-stream",
-    "api.objects_near_node_self_ms": "q_near_node_* on city-feed, station-stream",
+    "store.snapshot_ms": "q_within_*, q_near_node_* on city-feed (~16k elements per snapshot), district-query",
+    "store.snapshot_entries_per_row": "q_within_*, q_near_node_* on city-feed, district-query",
+    "store.query_frames_calls_per_query": "q_stationary_* on district-query, city-feed (one call per tracked object)",
+    "roadnet.map_match_ms": "q_same_way_*, q_next_nodes_* on city-feed (~10^4 segments), district-query",
+    "roadnet.map_match_calls_per_query": "q_same_way_* on district-query (one match per tracked object)",
+    "roadnet.ways_scanned_per_match": "q_same_way_* on district-query, city-feed; 24 on station-stream",
+    "roadnet.segments_projected_per_match": "q_same_way_* on district-query, city-feed",
+    "roadnet.parse_osm_s": "setup_s on city-feed, district-query",
+    "roadnet.load_into_store_s": "setup_s on city-feed, district-query",
+    "api.objects_within_self_ms": "q_within_* on district-query, city-feed",
+    "api.objects_on_same_way_self_ms": "q_same_way_* on district-query, city-feed",
+    "api.stationary_objects_self_ms": "q_stationary_* on district-query, city-feed",
+    "api.next_road_nodes_self_ms": "q_next_nodes_* on district-query, city-feed",
+    "api.objects_near_node_self_ms": "q_near_node_* on district-query, city-feed",
     "api.rows_per_query": "none: the base of the per-row ratios",
+    "gc.pause_share": "ingest_p99_ms, q_*_p90_ms on city-feed (~0.15 of its timed phase; ~0.007 elsewhere)",
+    "gc.setup_heap_collect_ms": "none while the set-up heap is frozen; a full collection over the map on city-feed",
     "trace.overhead_share": "none: tracing cost, on every workload",
 }
 
@@ -141,6 +142,8 @@ def main(argv=None) -> int:
         traced_p50 = traced["e2e"]["ingest_p50_ms"][0]
         layers["trace.overhead_share"] = (traced_p50 / untraced_p50 - 1.0, "ratio",
                                           traced["e2e"]["ingest_p50_ms"][2])
+        for name in ("gc_pause_share", "gc_setup_heap_collect_ms"):
+            layers[name.replace("_", ".", 1)] = traced["e2e"][name]
         report(f"per-layer (traced run, {traced['spans_written']} spans written):", layers, SHOULD_MOVE)
         metrics = layers
     else:

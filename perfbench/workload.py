@@ -20,13 +20,12 @@ queries that fill each phase's share of --seconds at the nominal
 seed-speed rates below. So a faster program finishes sooner on exactly
 the same inputs and store states, and two traced runs with one seed do
 the same operations, which makes their count metrics repeat exactly.
-The one open-ended part is the district-query querier: untraced, it
-runs closed loop for as long as the fixed-rate stream lasts.
 
-The query metrics of station-stream and city-feed come from closed-loop
-reads between chunks of the feed, so that every workload reports every
-end-to-end metric: station-stream reads at the latest line, city-feed at
-the last frame of its roadside-unit prefill.
+The timed phase alternates closed-loop chunks of the feed with
+closed-loop reads, so that every workload reports every end-to-end
+metric and every read sees a store state fixed by the seed: station-
+stream and district-query read at the latest line, city-feed at the
+last frame of its roadside-unit prefill.
 """
 
 from __future__ import annotations
@@ -38,13 +37,11 @@ import math
 import os
 import platform
 import resource
-import select
 import shutil
 import socket
 import statistics
 import sys
 import threading
-import time
 from pathlib import Path
 from time import perf_counter
 
@@ -52,7 +49,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(Path(__file__).resolve().parent)]
 
 import oracles  # noqa: E402  brute-force reference, tests/oracles.py
-from inputs import BUILDERS, LINE_US, QUERY_KINDS, WorkloadInputs  # noqa: E402
+from inputs import BUILDERS, LINE_US, QUERY_CYCLE, QUERY_KINDS, WorkloadInputs  # noqa: E402
 from ldm.api import STATIONARY_SPEED_EPS, LocalDynamicMap  # noqa: E402
 from ldm.errors import Unmatched  # noqa: E402
 from ldm.feed import serve  # noqa: E402
@@ -62,15 +59,14 @@ from ldm.store import LdmConfig  # noqa: E402
 NEXT_K = 5
 SEC_US = 1_000_000
 
+# The timed phase runs this many rounds of one feed chunk, then one
+# read chunk.
+BLOCKS = 10
+
 # Per workload:
 #   setups        set-ups per run; setup_s is their median, and a cheap
 #                 set-up gets more repeats
-#   order         the timed phase: closed-loop wire lines ("feed") and
-#                 closed-loop queries ("read") in turn, split into
-#                 `blocks` rounds; or an open-loop stream with a
-#                 concurrent querier ("stream+queries")
-#   feed_share    share of --seconds spent on wire lines (the rest on
-#                 reads, unless they run concurrently)
+#   feed_share    share of --seconds spent on wire lines, the rest on reads
 #   lines_per_s, queries_per_s
 #                 nominal seed-speed rates that size the work of a run
 #   evict         run evict_expired at each second of the feed clock
@@ -80,12 +76,12 @@ SEC_US = 1_000_000
 #                 store tracks ~4k objects, and one objects_on_same_way
 #                 call over all of them would take ~40 s at seed speed
 PLANS = {
-    "station-stream": {"setups": 21, "order": ("feed", "read"), "blocks": 10, "feed_share": 0.7,
-                       "lines_per_s": 750, "queries_per_s": 1800, "evict": False, "read_at_prefill": False},
-    "city-feed": {"setups": 5, "order": ("feed", "read"), "blocks": 10, "feed_share": 0.5,
-                  "lines_per_s": 115, "queries_per_s": 28, "evict": True, "read_at_prefill": True},
-    "district-query": {"setups": 5, "order": ("stream+queries",), "blocks": 1, "feed_share": 1.0,
-                       "lines_per_s": 100, "queries_per_s": 25, "evict": False, "read_at_prefill": False},
+    "station-stream": {"setups": 21, "feed_share": 0.7, "lines_per_s": 690, "queries_per_s": 1300,
+                       "evict": False, "read_at_prefill": False},
+    "city-feed": {"setups": 5, "feed_share": 0.5, "lines_per_s": 100, "queries_per_s": 32,
+                  "evict": True, "read_at_prefill": True},
+    "district-query": {"setups": 5, "feed_share": 0.3, "lines_per_s": 490, "queries_per_s": 38,
+                       "evict": True, "read_at_prefill": False},
 }
 
 QUERY_METHOD = {
@@ -109,12 +105,11 @@ def pct(values, p: float) -> float:
 
 
 class FeedClock:
-    """The feed's own clock: timestamp and count of acknowledged lines."""
+    """The feed's own clock: timestamp of the last acknowledged line."""
 
     def __init__(self, ts: int):
         self.cond = threading.Condition()
         self.ts = ts
-        self.acked = 0
         self.finished = False
         # Last whole second evicted; None when nothing evicts.
         self.evicted_to: int | None = None
@@ -122,7 +117,6 @@ class FeedClock:
     def advance(self, ts: int):
         with self.cond:
             self.ts = ts
-            self.acked += 1
             self.cond.notify_all()
 
     def finish(self):
@@ -175,7 +169,7 @@ class Env:
 # load generators
 
 
-def closed_loop(env: Env, lines, clock: FeedClock | None):
+def closed_loop(env: Env, lines, clock: FeedClock):
     """One connection, next line sent when the previous one is answered."""
     lat, resp = [], []
     sock, reader = env.sock, env.reader
@@ -186,47 +180,8 @@ def closed_loop(env: Env, lines, clock: FeedClock | None):
         t1 = perf_counter()
         lat.append((t1 - t0) * 1e3)
         resp.append(r)
-        if clock is not None:
-            clock.advance(line.ts)
+        clock.advance(line.ts)
     return lat, resp
-
-
-def open_loop(env: Env, lines, clock: FeedClock):
-    """Lines sent on the feed's schedule whatever the server does;
-    latency is timed from when each line was due."""
-    sock = env.sock
-    step = LINE_US / 1e6
-    start = perf_counter() + 0.01
-    lat, lag, resp = [], [], []
-    sent = got = 0
-    buf = b""
-    n = len(lines)
-    while got < n:
-        now = perf_counter()
-        due = start + sent * step
-        if sent < n and now >= due:
-            lag.append((now - due) * 1e3)
-            sock.sendall(lines[sent].data)
-            sent += 1
-            continue
-        timeout = due - now if sent < n else 5.0
-        ready, _, _ = select.select([sock], [], [], timeout)
-        if not ready:
-            if sent >= n:
-                raise RuntimeError("feed server stopped answering")
-            continue
-        data = sock.recv(1 << 16)
-        t = perf_counter()
-        if not data:
-            raise RuntimeError("feed server closed the connection")
-        buf += data
-        while b"\n" in buf:
-            r, buf = buf.split(b"\n", 1)
-            lat.append((t - (start + got * step)) * 1e3)
-            resp.append(r)
-            clock.advance(lines[got].ts)
-            got += 1
-    return lat, lag, resp
 
 
 def evictor(store, clock: FeedClock, passes: list):
@@ -282,9 +237,6 @@ class Querier:
             self.failed += 1
             self.errors.append(f"{q.kind}: {type(exc).__name__}: {exc}")
         self.lat[q.kind].append((perf_counter() - t0) * 1e3)
-        # Yield the interpreter lock between queries, as a reader that
-        # hands each result on would.
-        time.sleep(0)
 
 
 def object_ids(ldm: LocalDynamicMap) -> dict[str, int]:
@@ -363,9 +315,8 @@ def run(name: str, seed: int, seconds: float, traced: bool) -> dict:
     info = machine_info(seed)
     plan = PLANS[name]
     feed_s = plan["feed_share"] * seconds
-    read_s = seconds if plan["order"] == ("stream+queries",) else seconds - feed_s
-    n_lines = max(plan["blocks"], int(plan["lines_per_s"] * feed_s))
-    n_queries = max(len(QUERY_KINDS) * plan["blocks"], int(plan["queries_per_s"] * read_s))
+    n_lines = max(BLOCKS, int(plan["lines_per_s"] * feed_s))
+    n_queries = max(len(QUERY_CYCLE) * BLOCKS, int(plan["queries_per_s"] * (seconds - feed_s)))
     w = BUILDERS[name](seed, n_lines, n_queries)
 
     tracer = None
@@ -414,21 +365,62 @@ def run(name: str, seed: int, seconds: float, traced: bool) -> dict:
     return result
 
 
+class GcTimer:
+    """Time the interpreter's cyclic collector spends in the collections
+    the program triggers, from gc.callbacks."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.collections = 0
+        self.full = 0
+        self._t0 = 0.0
+        self._explicit = False
+
+    def collect(self):
+        """A full collection outside the timing, not counted."""
+        self._explicit = True
+        try:
+            gc.collect()
+        finally:
+            self._explicit = False
+
+    def __call__(self, phase: str, info: dict):
+        if self._explicit:
+            return
+        if phase == "start":
+            self._t0 = perf_counter()
+        else:
+            self.seconds += perf_counter() - self._t0
+            self.collections += 1
+            self.full += info["generation"] == 2
+
+
 def timed(w, env, tracer, plan):
     # Start the timing from a collected heap, and move everything set up
     # so far (road map, prefill, inputs) out of the collector's view, as
     # a server could after loading its map. Otherwise each full collection
     # inside the run rescans the map, and whether a run holds four or
-    # eight of them decides its tail latencies. The cost of collections
-    # over objects created while the program runs is still measured.
+    # eight of them decides its tail latencies. What that rescan costs is
+    # still reported: gc_setup_heap_collect_ms is the median time of three
+    # full collections over the set-up heap, before it is frozen. The
+    # collections over objects created while the program runs are timed
+    # with the work they interrupt, and their share of the run is
+    # reported as gc_pause_share.
     gc.collect()
+    collect_ms = []
+    for _ in range(3):
+        t0 = perf_counter()
+        gc.collect()
+        collect_ms.append((perf_counter() - t0) * 1e3)
     gc.freeze()
+    gc_timer = GcTimer()
+    gc.callbacks.append(gc_timer)
     ldm = env.ldm
     store = ldm.store
     lines = w.feed
     clock = FeedClock(w.prefill[-1].ts if w.prefill else lines[0].ts - LINE_US)
     querier = Querier(ldm, w.queries)
-    lat, lag, resp = [], [], []
+    lat, resp = [], []
     feed_seconds = 0.0
     passes: list[int] = []
     bad_queries: list[str] = []
@@ -439,64 +431,31 @@ def timed(w, env, tracer, plan):
         evict.start()
     started = perf_counter()
     try:
-        if plan["order"] == ("stream+queries",):
-            querier.ids = object_ids(ldm)
-
-            def query_loop():
-                if tracer is not None:
-                    # Fixed schedule: query i reads at the time of line
-                    # i * len(lines) / len(plan), once it is answered.
-                    for i in range(len(w.queries)):
-                        k = i * len(lines) // len(w.queries)
-                        with clock.cond:
-                            while clock.acked <= k and not clock.finished:
-                                clock.cond.wait()
-                            if clock.acked <= k:
-                                return
-                        querier.one(lines[k].ts)
-                else:
-                    while not clock.finished:
-                        querier.one(clock.ts)
-
-            qt = threading.Thread(target=query_loop)
-            qt.start()
+        for b in range(BLOCKS):
+            chunk = lines[b * len(lines) // BLOCKS:(b + 1) * len(lines) // BLOCKS]
             t0 = perf_counter()
-            try:
-                lat, lag, resp = open_loop(env, lines, clock)
-            finally:
-                feed_seconds = perf_counter() - t0
-                clock.finish()
-                qt.join()
-            bad_queries = check_queries(ldm, w.oracle_sample, clock.ts, tracer)
-        else:
-            blocks = plan["blocks"]
-            for b in range(blocks):
-                for phase in plan["order"]:
-                    if phase == "feed":
-                        chunk = lines[b * len(lines) // blocks:(b + 1) * len(lines) // blocks]
-                        t0 = perf_counter()
-                        chunk_lat, chunk_resp = closed_loop(env, chunk, clock)
-                        feed_seconds += perf_counter() - t0
-                        lat += chunk_lat
-                        resp += chunk_resp
-                    else:
-                        clock.wait_for_evictions()
-                        # Reads start from a collected heap too: otherwise
-                        # whether a full collection of the garbage the feed
-                        # chunk left lands inside a query or inside the next
-                        # chunk decides the query tail of the whole run.
-                        gc.collect()
-                        querier.ids = object_ids(ldm)
-                        at = w.prefill[-1].ts if plan["read_at_prefill"] else clock.ts
-                        for _ in range(len(w.queries) * b // blocks, len(w.queries) * (b + 1) // blocks):
-                            querier.one(at)
-                        if b == blocks - 1:
-                            # The gate checks the store the last reads saw.
-                            bad_queries = check_queries(ldm, w.oracle_sample, at, tracer)
+            chunk_lat, chunk_resp = closed_loop(env, chunk, clock)
+            feed_seconds += perf_counter() - t0
+            lat += chunk_lat
+            resp += chunk_resp
+
+            clock.wait_for_evictions()
+            # Reads start from a collected heap too: otherwise whether a
+            # collection of the garbage the feed chunk left lands inside a
+            # query or inside the next chunk decides the query tail.
+            gc_timer.collect()
+            querier.ids = object_ids(ldm)
+            at = w.prefill[-1].ts if plan["read_at_prefill"] else clock.ts
+            for _ in range(len(w.queries) * b // BLOCKS, len(w.queries) * (b + 1) // BLOCKS):
+                querier.one(at)
+            if b == BLOCKS - 1:
+                # The gate checks the store the last reads saw.
+                bad_queries = check_queries(ldm, w.oracle_sample, at, tracer)
     finally:
         clock.finish()
         if evict is not None:
             evict.join()
+        gc.callbacks.remove(gc_timer)
     elapsed = perf_counter() - started
 
     # -- correctness gate --------------------------------------------------
@@ -526,6 +485,8 @@ def timed(w, env, tracer, plan):
         "ingest_msgs_per_s": (ok_lines / feed_seconds if feed_seconds else 0.0, "1/s", len(resp)),
         "ingest_p50_ms": (pct(lat, 50), "ms", len(lat)),
         "ingest_p99_ms": (pct(lat, 99), "ms", len(lat)),
+        "gc_pause_share": (gc_timer.seconds / elapsed, "ratio", gc_timer.collections),
+        "gc_setup_heap_collect_ms": (statistics.median(collect_ms), "ms", len(collect_ms)),
     }
     for kind in QUERY_KINDS:
         q_lat = querier.lat[kind]
@@ -550,8 +511,9 @@ def timed(w, env, tracer, plan):
             "unmatched": querier.unmatched,
             "evict_passes": len(passes),
             "timed_seconds": elapsed,
+            "gc_full_collections": gc_timer.full,
         },
-        "_client": {"lat": lat, "lag": lag},
+        "_client": {"lat": lat},
     }
 
 
@@ -564,7 +526,6 @@ def per_layer(tracer, client: dict, setup_layers: dict) -> dict:
         "feed.handle_line_ms": (pct(handle, 50), "ms", lines),
         "feed.transport_ms": (pct([a - b for a, b in zip(client["lat"], handle)], 50), "ms",
                               min(lines, len(client["lat"]))),
-        "feed.generator_lag_ms": (pct(client["lag"], 99), "ms", len(client["lag"])),
     }
     for n in ("parse_cpm", "cpm_to_openlabel", "parse_openlabel"):
         v = d(f"ingest.{n}")
@@ -584,9 +545,8 @@ def per_layer(tracer, client: dict, setup_layers: dict) -> dict:
     out["store.relation_keys_read_per_msg"] = (per_line("rel_keys"), "count", lines)
     v = tracer.requests("feed.handle_line", "write_ms")
     out["store.write_calls_ms"] = (pct(v, 50), "ms", len(v))
-    for side in ("write", "read"):
-        v = tracer.lock_waits(side)
-        out[f"store.{side}_lock_wait_ms"] = (pct(v, 99), "ms", len(v))
+    v = tracer.lock_waits("write")
+    out["store.write_lock_wait_ms"] = (pct(v, 99), "ms", len(v))
     v = d("store.evict_expired")
     out["store.evict_pass_ms"] = (pct(v, 50), "ms", len(v))
     out["store.evict_pass_max_ms"] = (max(v, default=0.0), "ms", len(v))
