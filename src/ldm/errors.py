@@ -23,10 +23,6 @@ class AttributeOverlap(LdmError):
     """An attribute name is claimed both statically and dynamically."""
 
 
-class TimestampRegression(LdmError):
-    """A frame insert would break timestamp/frame-index monotonicity."""
-
-
 class UnknownElement(LdmError):
     """Referenced element id is not present in the store."""
 

@@ -14,9 +14,9 @@ A scenario file holds the same lines with a pacing prefix field:
 
     {"offset_ms": N, "type": ..., "payload": ...}
 
-Payload timestamps, not arrival times, drive store time; receive time is
-kept on the envelope as provenance only. A broker client (MQTT etc.) can
-be layered on by feeding received messages through handle_line().
+Payload timestamps, not arrival times, drive store time. A broker client
+(MQTT etc.) can be layered on by feeding received messages through
+handle_line().
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import IO, Optional, Union
 from .api import LocalDynamicMap
 from .errors import BindError, FileError, LdmError, SchemaError
 from .ingest import CommitCounts, commit_payload, cpm_to_openlabel, parse_cpm, parse_openlabel
-from .model import Timestamp, now_us
 
 MAX_LINE_BYTES = 1 << 20
 
@@ -44,10 +43,9 @@ MSG_TYPES = ("cpm", "openlabel")
 class FeedEnvelope:
     msg_type: str
     payload: dict
-    recv_time: Timestamp = 0
 
 
-def parse_envelope(body: dict, recv_time: Optional[Timestamp] = None) -> FeedEnvelope:
+def parse_envelope(body: dict) -> FeedEnvelope:
     if not isinstance(body, dict):
         raise SchemaError("envelope must be a JSON object")
     msg_type = body.get("type")
@@ -56,7 +54,7 @@ def parse_envelope(body: dict, recv_time: Optional[Timestamp] = None) -> FeedEnv
     payload = body.get("payload")
     if not isinstance(payload, dict):
         raise SchemaError("envelope payload must be a JSON object", "payload")
-    return FeedEnvelope(msg_type, payload, recv_time if recv_time is not None else now_us())
+    return FeedEnvelope(msg_type, payload)
 
 
 def dispatch_envelope(ldm: LocalDynamicMap, env: FeedEnvelope) -> CommitCounts:
@@ -67,8 +65,7 @@ def dispatch_envelope(ldm: LocalDynamicMap, env: FeedEnvelope) -> CommitCounts:
     return commit_payload(parse_openlabel(env.payload), ldm.store, source="local_perception")
 
 
-def handle_line(ldm: LocalDynamicMap, line: Union[bytes, str],
-                recv_time: Optional[Timestamp] = None) -> dict:
+def handle_line(ldm: LocalDynamicMap, line: Union[bytes, str]) -> dict:
     """Process one wire line, returning the response object.
 
     Never raises: any failure (bad UTF-8, bad JSON, schema or store
@@ -79,7 +76,7 @@ def handle_line(ldm: LocalDynamicMap, line: Union[bytes, str],
         if isinstance(line, bytes):
             line = line.decode("utf-8")
         body = json.loads(line)
-        env = parse_envelope(body, recv_time)
+        env = parse_envelope(body)
         counts = dispatch_envelope(ldm, env)
         return {"ok": True, "committed": counts.as_dict()}
     except Exception as exc:  # noqa: BLE001 - wire isolation boundary
@@ -130,14 +127,17 @@ class FeedServer:
             except OSError:
                 break
             conn.settimeout(None)
+            # Started under the lock, so close() never sees an unstarted
+            # handler; finished ones are dropped here.
             with self._conns_lock:
                 if self._stopping.is_set():
                     conn.close()
                     break
                 self._conns.add(conn)
+                self._handlers = [h for h in self._handlers if h.is_alive()]
                 handler = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
+                handler.start()
                 self._handlers.append(handler)
-            handler.start()
 
     def _serve_conn(self, conn: socket.socket):
         buf = b""
@@ -162,7 +162,7 @@ class FeedServer:
                         continue
                     if not line.strip():
                         continue
-                    self._respond(conn, handle_line(self._ldm, line, now_us()))
+                    self._respond(conn, handle_line(self._ldm, line))
                 if len(buf) > MAX_LINE_BYTES:
                     self._respond(conn, _too_long_response())
                     buf = b""
@@ -191,12 +191,13 @@ class FeedServer:
             pass
         with self._conns_lock:
             conns = list(self._conns)
+            handlers = list(self._handlers)
         for conn in conns:
             try:
                 conn.shutdown(socket.SHUT_RD)
             except OSError:
                 pass
-        for handler in self._handlers:
+        for handler in handlers:
             handler.join(timeout=10.0)
         if self._acceptor.is_alive():
             self._acceptor.join(timeout=10.0)

@@ -141,13 +141,13 @@ def enu_to_wgs84(
 def project_to_segment(p: EnuPoint, a: EnuPoint, b: EnuPoint) -> SegmentProjection:
     """Project p onto segment a->b in the east/north plane.
 
-    t is clamped to [0, 1]; a degenerate segment (length <= 1e-6 m) is
-    treated as the point a.
+    t is clamped to [0, 1]; a zero-length segment is treated as the
+    point a.
     """
     dx = b.east - a.east
     dy = b.north - a.north
     len_sq = dx * dx + dy * dy
-    if len_sq <= 1e-12:
+    if len_sq == 0.0:
         t = 0.0
     else:
         t = ((p.east - a.east) * dx + (p.north - a.north) * dy) / len_sq

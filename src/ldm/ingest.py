@@ -356,8 +356,8 @@ def build_document(
     """Assemble the canonical scene document for a set of elements.
 
     frames_for yields the frame records to emit for each element id.
-    Ordering is fixed everywhere (ascending uids, ascending frame
-    indices, sorted attribute names) so serialization is deterministic.
+    Ordering is fixed everywhere (ascending uids, ascending timestamps,
+    sorted attribute names) so serialization is deterministic.
     """
     elements = sorted(elements, key=lambda e: e.id)
     kind_of = {e.id: e.kind for e in elements}
@@ -370,31 +370,28 @@ def build_document(
             body["static"] = _sorted_attrs(e.static_attributes)
         (objects if e.kind is ElementKind.Object else contexts)[str(e.id)] = body
 
-    # Group records by frame index; per-record timestamps that disagree
-    # with the frame-level one are preserved as overrides.
-    by_index: dict[int, dict] = {}
+    # One document frame per timestamp, keyed by that timestamp.
+    by_ts: dict[Timestamp, dict] = {}
     for e in elements:
-        for rec in sorted(frames_for(e.id), key=lambda r: r.frame_index):
-            slot = by_index.setdefault(rec.frame_index, {"timestamp": rec.timestamp, "objects": {}, "contexts": {}})
+        for rec in sorted(frames_for(e.id), key=lambda r: r.timestamp):
+            slot = by_ts.setdefault(rec.timestamp, {"objects": {}, "contexts": {}})
             data: dict = {}
             if rec.pose is not None:
                 data["pose"] = _pose_to_json(rec.pose)
             if rec.dynamic_attributes:
                 data["data"] = _sorted_attrs(rec.dynamic_attributes)
             data["source"] = rec.source.value
-            if rec.timestamp != slot["timestamp"]:
-                data["timestamp"] = rec.timestamp
             section = "objects" if kind_of[rec.element_id] is ElementKind.Object else "contexts"
             slot[section][str(rec.element_id)] = data
 
     frames: dict[str, dict] = {}
-    for idx in sorted(by_index):
-        slot = by_index[idx]
-        body = {"timestamp": slot["timestamp"]}
+    for ts in sorted(by_ts):
+        slot = by_ts[ts]
+        body = {"timestamp": ts}
         for section in ("objects", "contexts"):
             if slot[section]:
                 body[section] = {k: slot[section][k] for k in sorted(slot[section], key=int)}
-        frames[str(idx)] = body
+        frames[str(ts)] = body
 
     rel_rows = []
     for r in sorted(
@@ -670,7 +667,6 @@ def commit_payload(payload: OpenLabelPayload, store, source: str = "local_percep
                     eid = ids[(kind, uid)]
                     ts = data.timestamp if data.timestamp is not None else frame.timestamp
                     rec = FrameRecord(
-                        frame_index=ts,
                         timestamp=ts,
                         element_id=eid,
                         pose=data.pose,

@@ -1,7 +1,7 @@
 """Core scene data model: layers, elements, frames, poses, relations.
 
-Everything here is a plain value type. Mutating operations return new
-values; the store (ldm.store) owns all shared mutable state.
+Everything here is a plain value type; the store (ldm.store) owns all
+shared mutable state.
 
 Attribute values are restricted to four kinds: boolean, number, text and
 number-vector. An attribute name is either static (lives on the element)
@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Union
 
-from .errors import AttributeOverlap, TimestampRegression
-
 # Microseconds since the Unix epoch. Arrival order is not assumed to be
-# time order; only (frame_index, timestamp) consistency is enforced.
+# time order: a frame is keyed by its timestamp alone.
 Timestamp = int
 
 ElementId = int
@@ -95,7 +93,6 @@ class GeoPose:
 class FrameRecord:
     """Time-indexed snapshot of one element's dynamic state."""
 
-    frame_index: int
     timestamp: Timestamp
     element_id: ElementId
     pose: Optional[GeoPose] = None
@@ -107,8 +104,9 @@ class FrameRecord:
 class SceneElement:
     """One scene entity: static descriptor plus per-frame dynamic records.
 
-    frames maps frame_index -> FrameRecord. frame_span is derived: the
-    half-open [min index, max index + 1), or None when purely static.
+    frames maps timestamp -> FrameRecord. frame_span is derived: the
+    half-open [min timestamp, max timestamp + 1), or None when purely
+    static.
     """
 
     id: ElementId
@@ -117,7 +115,7 @@ class SceneElement:
     semantic_type: str
     layer: LdmLayer
     static_attributes: dict = field(default_factory=dict)
-    frames: Mapping[int, FrameRecord] = field(default_factory=dict)
+    frames: Mapping[Timestamp, FrameRecord] = field(default_factory=dict)
 
     @property
     def frame_span(self) -> Optional[tuple[int, int]]:
@@ -171,64 +169,14 @@ def validate_element(e: SceneElement) -> list[str]:
     for name in sorted(overlap):
         violations.append(f"attribute overlap: {name}")
 
-    prev_index = None
-    prev_ts = None
-    for idx in sorted(e.frames):
-        rec = e.frames[idx]
-        if rec.frame_index != idx:
-            violations.append(f"frame key {idx} != record index {rec.frame_index}")
-        if rec.frame_index < 0:
-            violations.append(f"frame index negative: {rec.frame_index}")
+    for ts in sorted(e.frames):
+        rec = e.frames[ts]
+        if rec.timestamp != ts:
+            violations.append(f"frame key {ts} != record timestamp {rec.timestamp}")
+        if rec.timestamp < 0:
+            violations.append(f"timestamp negative: {rec.timestamp}")
         if rec.element_id != e.id:
-            violations.append(f"frame {idx} element_id {rec.element_id} != {e.id}")
-        if prev_index is not None and rec.timestamp <= prev_ts:
-            violations.append(
-                f"timestamp not increasing: frame {idx} at {rec.timestamp} "
-                f"after frame {prev_index} at {prev_ts}"
-            )
+            violations.append(f"frame {ts} element_id {rec.element_id} != {e.id}")
         if rec.pose is not None:
             violations.extend(rec.pose.range_violations())
-        prev_index, prev_ts = idx, rec.timestamp
     return violations
-
-
-def check_frame_monotonic(frames: Mapping[int, FrameRecord], rec: FrameRecord) -> None:
-    """Raise TimestampRegression if inserting rec breaks (index, ts) order.
-
-    A record replacing the same index is checked against its neighbors
-    only. Shared by merge_dynamic and the store's in-place insert path.
-    """
-    for idx, other in frames.items():
-        if idx == rec.frame_index:
-            continue
-        if idx < rec.frame_index and other.timestamp >= rec.timestamp:
-            raise TimestampRegression(
-                f"frame {rec.frame_index} at t={rec.timestamp} is not after "
-                f"frame {idx} at t={other.timestamp}"
-            )
-        if idx > rec.frame_index and other.timestamp <= rec.timestamp:
-            raise TimestampRegression(
-                f"frame {rec.frame_index} at t={rec.timestamp} is not before "
-                f"frame {idx} at t={other.timestamp}"
-            )
-
-
-def merge_dynamic(existing: SceneElement, rec: FrameRecord) -> SceneElement:
-    """Return a copy of existing with rec merged in.
-
-    Last-writer-wins on an existing frame index. Static attributes are
-    untouched. Raises AttributeOverlap if rec introduces a dynamic name
-    the element already holds statically, TimestampRegression if the
-    record breaks time ordering, ValueError on element id mismatch.
-    """
-    if rec.element_id != existing.id:
-        raise ValueError(f"record element_id {rec.element_id} != element {existing.id}")
-    overlap = set(rec.dynamic_attributes) & set(existing.static_attributes)
-    if overlap:
-        raise AttributeOverlap(
-            "attribute overlap: " + ", ".join(sorted(overlap))
-        )
-    check_frame_monotonic(existing.frames, rec)
-    frames = dict(existing.frames)
-    frames[rec.frame_index] = rec
-    return replace(existing, frames=frames)

@@ -11,7 +11,6 @@ written by the export function.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Optional, Union
 
@@ -76,8 +75,7 @@ def load_state(state_dir: Union[str, Path], config: Optional[LdmConfig] = None) 
                 if data is None:
                     continue
                 ts = data.timestamp if data.timestamp is not None else frame.timestamp
-                frames[frame.index] = FrameRecord(
-                    frame_index=frame.index,
+                frames[ts] = FrameRecord(
                     timestamp=ts,
                     element_id=uid,
                     pose=data.pose,
@@ -115,10 +113,6 @@ def load_state(state_dir: Union[str, Path], config: Optional[LdmConfig] = None) 
     return ldm
 
 
-def state_exists(state_dir: Union[str, Path]) -> bool:
-    return (Path(state_dir) / SCENE_FILE).exists()
-
-
 def _graph_to_json(graph: RoadGraph) -> str:
     doc = {
         "nodes": [[n.osm_id, n.lat, n.lon] for n in graph.nodes.values()],
@@ -146,10 +140,3 @@ def _graph_from_json(text: str) -> RoadGraph:
     graph.warnings = [str(w) for w in doc.get("warnings", [])]
     rebuild_adjacency(graph)
     return graph
-
-
-def remove_state(state_dir: Union[str, Path]) -> None:
-    for name in (SCENE_FILE, MAP_FILE, META_FILE):
-        path = Path(state_dir) / name
-        if path.exists():
-            os.remove(path)

@@ -1,9 +1,8 @@
 """Embedded temporal property-graph store.
 
-One process, in memory: elements keyed by id, frame records indexed by
-(element, frame index) with timestamps ascending alongside indices,
-relations as deduplicated edges, layer-scoped TTL eviction, and
-consistent point-in-time snapshots.
+One process, in memory: elements keyed by id, frame records keyed by
+(element, timestamp), relations as deduplicated edges, layer-scoped TTL
+eviction, and consistent point-in-time snapshots.
 
 Locking contract: many concurrent readers or one writer. The lock is
 writer-preferring and reentrant within a thread, so composite writers
@@ -12,10 +11,11 @@ writer-preferring and reentrant within a thread, so composite writers
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Optional
@@ -24,6 +24,7 @@ from .errors import (
     AttributeOverlap,
     InvalidConfig,
     InvalidElement,
+    LdmError,
     SinkError,
     UnknownElement,
 )
@@ -37,7 +38,6 @@ from .model import (
     SceneElement,
     StreamDescriptor,
     Timestamp,
-    check_frame_monotonic,
     now_us,
     validate_element,
 )
@@ -197,22 +197,13 @@ class RWLock:
 
 
 class _Entry:
-    """Mutable per-element storage: static descriptor, frame log and the
-    parallel (index, timestamp) orderings used for time lookups."""
+    """Mutable per-element storage: static descriptor, frame log keyed by
+    timestamp and the ascending list of those timestamps."""
 
-    __slots__ = (
-        "element",
-        "frames",
-        "order_idx",
-        "order_ts",
-        "created_at",
-        "latest_ts",
-        "dynamic_names",
-        "had_frames",
-    )
+    __slots__ = ("element", "frames", "times", "latest_ts", "dynamic_names")
 
-    def __init__(self, element: SceneElement, created_at: Timestamp):
-        self.frames: dict[int, FrameRecord] = {}
+    def __init__(self, element: SceneElement, latest_ts: Timestamp):
+        self.frames: dict[Timestamp, FrameRecord] = {}
         # The public view shares the live frame dict, read-only.
         self.element = SceneElement(
             id=element.id,
@@ -223,14 +214,11 @@ class _Entry:
             static_attributes=dict(element.static_attributes),
             frames=MappingProxyType(self.frames),
         )
-        self.order_idx: list[int] = []
-        self.order_ts: list[int] = []
-        self.created_at = created_at
-        self.latest_ts = created_at
+        self.times: list[Timestamp] = []
+        self.latest_ts = latest_ts
         # Dynamic attribute names stay reserved for the element's
         # lifetime even if the frames carrying them are evicted.
         self.dynamic_names: set[str] = set()
-        self.had_frames = False
 
 
 class LdmStore:
@@ -282,18 +270,9 @@ class LdmStore:
         if violations:
             raise InvalidElement(violations)
         with self._lock.write():
-            key = (e.kind, e.name, e.semantic_type)
-            eid = self._by_key.get(key)
+            eid = self._by_key.get((e.kind, e.name, e.semantic_type))
             if eid is None:
                 eid = self._next_id
-                self._next_id += 1
-                entry = _Entry(
-                    SceneElement(eid, e.kind, e.name, e.semantic_type, e.layer,
-                                 dict(e.static_attributes)),
-                    created_at=self._last_update,
-                )
-                self._entries[eid] = entry
-                self._by_key[key] = eid
             else:
                 entry = self._entries[eid]
                 if entry.element.layer is not e.layer:
@@ -307,13 +286,7 @@ class LdmStore:
                         [f"attribute overlap: {n}" for n in sorted(overlap)]
                     )
                 entry.element.static_attributes.update(e.static_attributes)
-            for idx in sorted(e.frames):
-                rec = e.frames[idx]
-                self._insert_frame_locked(entry, FrameRecord(
-                    rec.frame_index, rec.timestamp, eid, rec.pose,
-                    dict(rec.dynamic_attributes), rec.source,
-                ))
-            return eid
+            return self._store_element_locked(e, eid)
 
     def restore_element(self, e: SceneElement) -> ElementId:
         """Insert an element under its explicit id (state reload path).
@@ -328,21 +301,27 @@ class LdmStore:
             key = (e.kind, e.name, e.semantic_type)
             if e.id in self._entries or key in self._by_key:
                 raise InvalidElement([f"element id {e.id} or key {key} already present"])
+            return self._store_element_locked(e, e.id)
+
+    def _store_element_locked(self, e: SceneElement, eid: ElementId) -> ElementId:
+        """Create the entry for e under eid unless it exists, then insert
+        the frames e carries."""
+        entry = self._entries.get(eid)
+        if entry is None:
             entry = _Entry(
-                SceneElement(e.id, e.kind, e.name, e.semantic_type, e.layer,
+                SceneElement(eid, e.kind, e.name, e.semantic_type, e.layer,
                              dict(e.static_attributes)),
-                created_at=self._last_update,
+                self._last_update,
             )
-            self._entries[e.id] = entry
-            self._by_key[key] = e.id
-            self._next_id = max(self._next_id, e.id + 1)
-            for idx in sorted(e.frames):
-                rec = e.frames[idx]
-                self._insert_frame_locked(entry, FrameRecord(
-                    rec.frame_index, rec.timestamp, e.id, rec.pose,
-                    dict(rec.dynamic_attributes), rec.source,
-                ))
-            return e.id
+            self._entries[eid] = entry
+            self._by_key[(e.kind, e.name, e.semantic_type)] = eid
+            self._next_id = max(self._next_id, eid + 1)
+        for ts in sorted(e.frames):
+            rec = e.frames[ts]
+            self._insert_frame_locked(entry, FrameRecord(
+                ts, eid, rec.pose, dict(rec.dynamic_attributes), rec.source,
+            ))
+        return eid
 
     def insert_frame(self, rec: FrameRecord) -> bool:
         """Insert or update one frame record.
@@ -357,8 +336,8 @@ class LdmStore:
             return self._insert_frame_locked(entry, rec)
 
     def _insert_frame_locked(self, entry: _Entry, rec: FrameRecord) -> bool:
-        if rec.frame_index < 0:
-            raise InvalidElement([f"frame index negative: {rec.frame_index}"])
+        if rec.timestamp < 0:
+            raise InvalidElement([f"timestamp negative: {rec.timestamp}"])
         if rec.pose is not None:
             bad = rec.pose.range_violations()
             if bad:
@@ -371,34 +350,18 @@ class LdmStore:
         if overlap:
             raise AttributeOverlap("attribute overlap: " + ", ".join(sorted(overlap)))
 
-        idx = rec.frame_index
-        pos = bisect_left(entry.order_idx, idx)
-        replacing = pos < len(entry.order_idx) and entry.order_idx[pos] == idx
-        # Neighbor timestamps must bracket the new record.
-        prev_pos = pos - 1
-        next_pos = pos + 1 if replacing else pos
-        if prev_pos >= 0 and entry.order_ts[prev_pos] >= rec.timestamp:
-            check_frame_monotonic(entry.frames, rec)  # raises with detail
-        if next_pos < len(entry.order_ts) and entry.order_ts[next_pos] <= rec.timestamp:
-            check_frame_monotonic(entry.frames, rec)
-
-        if replacing:
-            entry.order_ts[pos] = rec.timestamp
-        else:
-            entry.order_idx.insert(pos, idx)
-            entry.order_ts.insert(pos, rec.timestamp)
-        entry.frames[idx] = rec
+        ts = rec.timestamp
+        if ts not in entry.frames:
+            insort(entry.times, ts)
+        entry.frames[ts] = rec
         entry.dynamic_names.update(rec.dynamic_attributes)
-        entry.latest_ts = max(entry.latest_ts, rec.timestamp)
-        entry.had_frames = True
-        self._last_update = max(self._last_update, rec.timestamp)
+        entry.latest_ts = max(entry.latest_ts, ts)
+        self._last_update = max(self._last_update, ts)
 
         cap = self._config.max_frames_per_element
         if cap is not None:
-            while len(entry.order_idx) > cap:
-                dropped = entry.order_idx.pop(0)
-                entry.order_ts.pop(0)
-                del entry.frames[dropped]
+            while len(entry.times) > cap:
+                del entry.frames[entry.times.pop(0)]
                 self._evicted_total += 1
         return True
 
@@ -442,11 +405,10 @@ class LdmStore:
                 if not math.isfinite(ttl):
                     continue
                 cutoff = now - ttl
-                pos = bisect_left(entry.order_ts, cutoff)
+                pos = bisect_left(entry.times, cutoff)
                 if pos > 0:
-                    expired_frames[eid] = [entry.frames[i] for i in entry.order_idx[:pos]]
-                remaining = len(entry.order_idx) - pos
-                if remaining == 0 and now - entry.latest_ts > ttl:
+                    expired_frames[eid] = [entry.frames[t] for t in entry.times[:pos]]
+                if pos == len(entry.times) and now - entry.latest_ts > ttl:
                     dead_elements.append(eid)
 
             if self._config.archive_dir and expired_frames:
@@ -456,10 +418,9 @@ class LdmStore:
             for eid, records in expired_frames.items():
                 entry = self._entries[eid]
                 n = len(records)
-                del entry.order_idx[:n]
-                del entry.order_ts[:n]
+                del entry.times[:n]
                 for rec in records:
-                    del entry.frames[rec.frame_index]
+                    del entry.frames[rec.timestamp]
                 count += n
             for eid in dead_elements:
                 self._remove_element_locked(eid)
@@ -549,14 +510,14 @@ class LdmStore:
 
     def query_frames(self, element_id: ElementId, start: Timestamp, end: Timestamp) -> list[FrameRecord]:
         """Frames of one element with start <= timestamp < end, ascending
-        by frame index."""
+        by timestamp."""
         with self._lock.read():
             entry = self._entries.get(element_id)
             if entry is None:
                 raise UnknownElement(f"element {element_id} not in store")
-            lo = bisect_left(entry.order_ts, start)
-            hi = bisect_left(entry.order_ts, end)
-            return [entry.frames[i] for i in entry.order_idx[lo:hi]]
+            lo = bisect_left(entry.times, start)
+            hi = bisect_left(entry.times, end)
+            return [entry.frames[t] for t in entry.times[lo:hi]]
 
     def latest_frame(self, element_id: ElementId, at: Timestamp) -> Optional[FrameRecord]:
         """The element's most recent frame with timestamp <= at."""
@@ -564,18 +525,18 @@ class LdmStore:
             entry = self._entries.get(element_id)
             if entry is None:
                 raise UnknownElement(f"element {element_id} not in store")
-            pos = bisect_right(entry.order_ts, at)
+            pos = bisect_right(entry.times, at)
             if pos == 0:
                 return None
-            return entry.frames[entry.order_idx[pos - 1]]
+            return entry.frames[entry.times[pos - 1]]
 
     def snapshot(self, at: Timestamp) -> Snapshot:
         with self._lock.read():
             entries = []
             for eid in sorted(self._entries):
                 entry = self._entries[eid]
-                pos = bisect_right(entry.order_ts, at)
-                rec = entry.frames[entry.order_idx[pos - 1]] if pos else None
+                pos = bisect_right(entry.times, at)
+                rec = entry.frames[entry.times[pos - 1]] if pos else None
                 entries.append(SnapshotEntry(entry.element, rec))
             return Snapshot(at, entries, list(self._relations.values()))
 
@@ -588,9 +549,9 @@ class LdmStore:
             for entry in self._entries.values():
                 layer = entry.element.layer
                 per_layer[layer] = per_layer.get(layer, 0) + 1
-                frame_count += len(entry.order_idx)
-                if entry.order_idx:
-                    first, last = entry.order_idx[0], entry.order_idx[-1]
+                frame_count += len(entry.times)
+                if entry.times:
+                    first, last = entry.times[0], entry.times[-1]
                     lo = first if lo is None else min(lo, first)
                     hi = last if hi is None else max(hi, last)
             frame_range = None if lo is None else (lo, hi)
@@ -619,7 +580,11 @@ class EvictionTimer:
 
     def _run(self):
         while not self._stop.wait(self._period):
-            self._store.evict_expired(now_us())
+            try:
+                self._store.evict_expired(now_us())
+            except (LdmError, OSError):
+                # Nothing was evicted; the next pass retries on schedule.
+                logging.getLogger("ldm").exception("eviction pass failed")
 
     def stop(self):
         self._stop.set()

@@ -166,7 +166,7 @@ def stationary_objects(store, at, window_s, speed_eps):
             continue
         frames = [f for f in store.query_frames(element.id, 0, 1 << 62)
                   if at - window_us < f.timestamp <= at]
-        frames.sort(key=lambda f: f.frame_index)
+        frames.sort(key=lambda f: f.timestamp)
         if len(frames) < 2:
             continue
         moving = False

@@ -5,6 +5,7 @@ The real-time criterion replays a paced 60-second feed, so the module
 takes a bit over a minute end to end.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -234,7 +235,6 @@ def test_c4_eviction_semantics():
         ids.append(store.upsert_element(SceneElement(
             0, ElementKind.Object, f"e-{i}", "thing", layer)))
     l1_ids = {eid for eid in ids if store.get_element(eid).layer is LdmLayer.L1_Static}
-    next_idx = {eid: 0 for eid in ids}
     last_ts = {eid: -1 for eid in ids}
     now = 0
     steps = 0
@@ -248,8 +248,7 @@ def test_c4_eviction_semantics():
             if eid in live:
                 ts = max(last_ts[eid] + 1, now - rng.randint(0, 3) * US)
                 last_ts[eid] = ts
-                store.insert_frame(FrameRecord(next_idx[eid], ts, eid))
-                next_idx[eid] += 1
+                store.insert_frame(FrameRecord(ts, eid))
         elif roll < 0.8:
             if len(live) >= 2:
                 a, b = rng.sample(sorted(live), 2)
@@ -418,7 +417,7 @@ def test_c7_robustness():
         frames = ldm.store.query_frames(e.id, 0, 1 << 62)
         recount += len(frames)
         for a, b in zip(frames, frames[1:]):
-            assert a.frame_index < b.frame_index and a.timestamp < b.timestamp
+            assert a.timestamp < b.timestamp
     assert recount == stats.frame_count
     ldm.store.snapshot(stats.last_update)
 
@@ -439,23 +438,22 @@ def test_c7_robustness():
     report(7, "robustness", f"[{answered} fuzz lines answered, {stats.frame_count} frames intact]")
 
 
+def _c8_seeded_map():
+    rng = random.Random(808)
+    ldm = LocalDynamicMap()
+    ldm.load_map(random_osm(rng, n_ways=6))
+    ldm.add_objects(random_scene(rng, max_objects=12, max_frames=15, base_ts=T0))
+    for _ in range(5):
+        ldm.add_objects(cpm_to_openlabel(parse_cpm(random_cpm(rng, base_ts=T0))))
+    return ldm
+
+
 def test_c8_determinism(tmp_path):
     """Identical stores export byte-identical archives; parsing is
     byte-deterministic."""
-    rng_seed = 808
-
-    def build():
-        rng = random.Random(rng_seed)
-        ldm = LocalDynamicMap()
-        ldm.load_map(random_osm(rng, n_ways=6))
-        ldm.add_objects(random_scene(rng, max_objects=12, max_frames=15, base_ts=T0))
-        for _ in range(5):
-            ldm.add_objects(cpm_to_openlabel(parse_cpm(random_cpm(rng, base_ts=T0))))
-        return ldm
-
     exports = []
     for i in range(2):
-        ldm = build()
+        ldm = _c8_seeded_map()
         out = tmp_path / f"export-{i}.json"
         ldm.export(T0 - 10**9, T0 + 10**12, out)
         exports.append(out.read_bytes())
@@ -470,3 +468,14 @@ def test_c8_determinism(tmp_path):
     assert list(g1.ways.items()) == list(g2.ways.items())
     assert g1.adjacency == g2.adjacency and g1.warnings == g2.warnings
     report(8, "determinism", f"[export {len(exports[0])} bytes stable]")
+
+
+# sha256 of the c8 store's export. It moves with any change to the
+# document format or to what a commit stores.
+C8_EXPORT_SHA256 = "17d0f4ff545b0c513900d52fb6262268cb4e03bc69176e9cd08833bdd1b0543f"
+
+
+def test_c8_export_digest_is_pinned(tmp_path):
+    out = tmp_path / "export.json"
+    _c8_seeded_map().export(T0 - 10**9, T0 + 10**12, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == C8_EXPORT_SHA256

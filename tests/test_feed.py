@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from conftest import random_cpm
+import ldm.feed as feed
 from ldm.api import LocalDynamicMap
 from ldm.errors import FileError
 from ldm.feed import FeedServer, handle_line, load_scenario, replay, serve
@@ -129,6 +130,38 @@ class TestServer:
 
             with pytest.raises(BindError):
                 FeedServer("127.0.0.1", server.port, ldm)
+
+    def test_close_joins_a_handler_whose_start_is_held(self, monkeypatch):
+        # The handler's start() is held until close() has begun. Without
+        # ordering between the two, close() may join a thread that was
+        # never started; repeated because that race is timing-dependent.
+        for _ in range(30):
+            server = serve("127.0.0.1", 0, LocalDynamicMap())
+            entered = threading.Event()
+
+            class HeldThread(threading.Thread):
+                def start(self):
+                    entered.set()
+                    server._stopping.wait(5.0)
+                    super().start()
+
+            monkeypatch.setattr(feed.threading, "Thread", HeldThread)
+            client = socket.create_connection((server.host, server.port), timeout=10)
+            try:
+                assert entered.wait(5.0)
+                server.close()
+                assert not any(h.is_alive() for h in server._handlers)
+            finally:
+                client.close()
+                monkeypatch.undo()
+
+    def test_finished_handlers_are_dropped(self):
+        with serve("127.0.0.1", 0, LocalDynamicMap()) as server:
+            for station in range(50):
+                client = SocketClient(server.host, server.port)
+                assert client.send_line(cpm_line(n_objects=1, station_id=station))["ok"] is True
+                client.close()
+            assert len(server._handlers) < 10
 
 
 class TestReplay:

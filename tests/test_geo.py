@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldm.errors import OutOfLocalRange
@@ -132,6 +132,8 @@ class TestSegmentProjection:
         st.tuples(*[st.floats(min_value=-1000, max_value=1000) for _ in range(6)]),
     )
     @settings(max_examples=300)
+    # A segment far shorter than a micrometre still has a nearer end.
+    @example((-1.0, 0.0, 0.0, 0.0, -6e-8, 0.0))
     def test_never_beats_endpoints(self, coords):
         px, py, ax, ay, bx, by = coords
         p, a, b = EnuPoint(px, py), EnuPoint(ax, ay), EnuPoint(bx, by)

@@ -227,6 +227,47 @@ class TestCommitPayload:
         assert store.elements() == []
         assert store.stats().last_update == 0
 
+    @staticmethod
+    def _contents(store):
+        return (
+            [(e.id, e.layer, dict(e.static_attributes), store.query_frames(e.id, 0, 1 << 62))
+             for e in store.elements()],
+            store.stats().last_update,
+        )
+
+    def _seeded_store(self):
+        store = LdmStore()
+        commit_payload(parse_openlabel(MINIMAL_SCENE), store)
+        doc = json.loads(json.dumps(MINIMAL_SCENE))
+        doc["openlabel"]["objects"] = {"0": {"name": "sign-1", "type": "sign.stop", "layer": "L2"}}
+        commit_payload(parse_openlabel(doc), store)
+        return store
+
+    def test_commit_is_atomic_on_layer_change_of_last_element(self):
+        store = self._seeded_store()
+        before = self._contents(store)
+        doc = json.loads(json.dumps(MINIMAL_SCENE))
+        root = doc["openlabel"]
+        root["objects"]["1"] = {"name": "car-8", "type": "vehicle.car"}
+        root["objects"]["2"] = {"name": "sign-1", "type": "sign.stop", "layer": "L3"}
+        root["frames"]["0"]["timestamp"] = 2000
+        root["frames"]["0"]["objects"]["1"] = {"pose": {"lat": 1.0, "lon": 2.1}}
+        with pytest.raises(InvalidElement, match="layer change"):
+            commit_payload(parse_openlabel(doc), store)
+        assert self._contents(store) == before
+
+    def test_commit_is_atomic_on_bad_pose_in_last_frame(self):
+        store = self._seeded_store()
+        before = self._contents(store)
+        doc = json.loads(json.dumps(MINIMAL_SCENE))
+        root = doc["openlabel"]
+        root["objects"]["1"] = {"name": "car-8", "type": "vehicle.car"}
+        root["frames"]["0"]["timestamp"] = 2000
+        root["frames"]["1"] = {"timestamp": 3000, "objects": {"1": {"pose": {"lat": 95.0, "lon": 2.0}}}}
+        with pytest.raises(InvalidElement, match="lat out of range"):
+            commit_payload(parse_openlabel(doc), store)
+        assert self._contents(store) == before
+
     def test_messages_fuse_by_timestamp(self):
         store = LdmStore()
         rng = random.Random(13)

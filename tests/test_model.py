@@ -2,14 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldm.errors import AttributeOverlap, TimestampRegression
 from ldm.model import (
     ElementKind,
     FrameRecord,
     GeoPose,
     LdmLayer,
     SceneElement,
-    merge_dynamic,
     validate_element,
 )
 
@@ -26,8 +24,8 @@ def make_element(static=None, frames=None, eid=0):
     )
 
 
-def frame(idx, ts, attrs=None, pose=None, eid=0):
-    return FrameRecord(idx, ts, eid, pose=pose, dynamic_attributes=attrs or {})
+def frame(ts, attrs=None, pose=None, eid=0):
+    return FrameRecord(ts, eid, pose=pose, dynamic_attributes=attrs or {})
 
 
 class TestGeoPose:
@@ -49,79 +47,28 @@ class TestValidateElement:
     def test_attribute_overlap_is_reported(self):
         e = make_element(
             static={"speed": 3.0},
-            frames={0: frame(0, 100, attrs={"speed": 4.0})},
+            frames={100: frame(100, attrs={"speed": 4.0})},
         )
         violations = validate_element(e)
         assert any("attribute overlap: speed" in v for v in violations)
 
     def test_out_of_range_latitude_is_reported(self):
-        e = make_element(frames={0: frame(0, 100, pose=GeoPose(95.0, 0.0))})
+        e = make_element(frames={100: frame(100, pose=GeoPose(95.0, 0.0))})
         violations = validate_element(e)
         assert any("lat out of range" in v for v in violations)
 
-    def test_timestamp_order_is_checked(self):
-        e = make_element(frames={0: frame(0, 100), 1: frame(1, 50)})
-        violations = validate_element(e)
-        assert any("timestamp not increasing" in v for v in violations)
+    def test_key_other_than_record_timestamp_is_reported(self):
+        e = make_element(frames={0: frame(100)})
+        assert any("frame key 0 != record timestamp 100" in v for v in validate_element(e))
 
     def test_mismatched_element_id_is_reported(self):
-        e = make_element(frames={0: frame(0, 100, eid=9)})
+        e = make_element(frames={100: frame(100, eid=9)})
         assert any("element_id" in v for v in validate_element(e))
 
 
-class TestMergeDynamic:
-    def test_first_insert_creates_span(self):
-        merged = merge_dynamic(make_element(), frame(0, 100))
-        assert merged.frame_span == (0, 1)
-        assert merged.frames[0].timestamp == 100
-
-    def test_last_writer_wins_on_same_index(self):
-        e = make_element(frames={0: frame(0, 100), 1: frame(1, 200)})
-        newer = frame(1, 200, pose=GeoPose(1.0, 2.0))
-        merged = merge_dynamic(e, newer)
-        assert merged.frame_span == (0, 2)
-        assert merged.frames[1].pose == GeoPose(1.0, 2.0)
-
-    def test_timestamp_regression_raises(self):
-        e = make_element(frames={0: frame(0, 100)})
-        with pytest.raises(TimestampRegression):
-            merge_dynamic(e, frame(1, 50))
-
-    def test_regression_against_later_frame_raises(self):
-        e = make_element(frames={5: frame(5, 500)})
-        with pytest.raises(TimestampRegression):
-            merge_dynamic(e, frame(2, 600))
-
-    def test_static_name_collision_raises(self):
-        e = make_element(static={"brand": "acme"})
-        with pytest.raises(AttributeOverlap):
-            merge_dynamic(e, frame(0, 100, attrs={"brand": "x"}))
-
-    def test_merge_does_not_mutate_input(self):
-        e = make_element()
-        merge_dynamic(e, frame(0, 100))
-        assert e.frames == {}
-        assert e.frame_span is None
-
+class TestSceneElement:
     @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=20, unique=True))
     @settings(max_examples=200)
-    def test_span_covers_min_to_max(self, indices):
-        e = make_element()
-        # Timestamps consistent with indices keep the merges legal.
-        for idx in sorted(indices):
-            e = merge_dynamic(e, frame(idx, 1000 + idx))
-        assert e.frame_span == (min(indices), max(indices) + 1)
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=10, unique=True),
-        st.integers(min_value=0, max_value=30),
-    )
-    @settings(max_examples=200)
-    def test_merge_is_idempotent(self, indices, pick):
-        e = make_element()
-        for idx in sorted(indices):
-            e = merge_dynamic(e, frame(idx, 1000 + idx))
-        rec = frame(pick, 1000 + pick, attrs={"speed": 1.0})
-        once = merge_dynamic(e, rec)
-        twice = merge_dynamic(once, rec)
-        assert once == twice
+    def test_span_covers_min_to_max(self, timestamps):
+        e = make_element(frames={ts: frame(ts) for ts in timestamps})
+        assert e.frame_span == (min(timestamps), max(timestamps) + 1)

@@ -1,7 +1,7 @@
 from conftest import chain_xml, random_scene
 from ldm.api import LocalDynamicMap
 from ldm.model import ElementKind, Relation
-from ldm.state import load_state, save_state, state_exists
+from ldm.state import SCENE_FILE, load_state, save_state
 
 T0 = 1_700_000_000_000_000
 
@@ -21,7 +21,7 @@ def test_round_trip_preserves_everything(tmp_path, rng):
     ldm.store.add_relation(Relation(car.id, "isOnWay", way.id))
 
     save_state(ldm, tmp_path)
-    assert state_exists(tmp_path)
+    assert (tmp_path / SCENE_FILE).exists()
     back = load_state(tmp_path)
 
     assert back.store.elements() == ldm.store.elements()

@@ -1,6 +1,8 @@
+import logging
 import math
 import random
 import threading
+import time
 
 import pytest
 
@@ -8,7 +10,6 @@ from ldm.errors import (
     AttributeOverlap,
     InvalidConfig,
     InvalidElement,
-    TimestampRegression,
     UnknownElement,
 )
 from ldm.geo import GeoBox
@@ -20,7 +21,7 @@ from ldm.model import (
     Relation,
     SceneElement,
 )
-from ldm.store import LdmConfig, LdmStore, validate_config
+from ldm.store import EvictionTimer, LdmConfig, LdmStore, validate_config
 
 US = 1_000_000  # microseconds per second
 
@@ -29,8 +30,8 @@ def element(name, layer=LdmLayer.L4_Dynamic, kind=ElementKind.Object, static=Non
     return SceneElement(0, kind, name, sem, layer, static or {})
 
 
-def rec(eid, idx, ts, pose=None, attrs=None):
-    return FrameRecord(idx, ts, eid, pose=pose, dynamic_attributes=attrs or {})
+def rec(eid, ts, pose=None, attrs=None):
+    return FrameRecord(ts, eid, pose=pose, dynamic_attributes=attrs or {})
 
 
 class TestUpsert:
@@ -60,7 +61,7 @@ class TestUpsert:
     def test_static_key_colliding_with_dynamic_name_rejected(self):
         store = LdmStore()
         eid = store.upsert_element(element("car-7"))
-        store.insert_frame(rec(eid, 0, 100, attrs={"speed": 1.0}))
+        store.insert_frame(rec(eid, 100, attrs={"speed": 1.0}))
         with pytest.raises(InvalidElement):
             store.upsert_element(element("car-7", static={"speed": 9.0}))
 
@@ -76,20 +77,20 @@ class TestInsertFrame:
     def test_insert_and_last_update(self):
         store = LdmStore()
         eid = store.upsert_element(element("car-7"))
-        assert store.insert_frame(rec(eid, 0, 123)) is True
+        assert store.insert_frame(rec(eid, 123)) is True
         assert store.stats().last_update == 123
 
     def test_unknown_element(self):
         store = LdmStore()
         with pytest.raises(UnknownElement):
-            store.insert_frame(rec(99, 0, 1))
+            store.insert_frame(rec(99, 1))
 
     def test_spatial_filter_drops_outside(self):
         cfg = LdmConfig(spatial_filter=GeoBox(0.0, 0.0, 1.0, 1.0))
         store = LdmStore(cfg)
         eid = store.upsert_element(element("car-7"))
-        inside = rec(eid, 0, 100, pose=GeoPose(0.5, 0.5))
-        outside = rec(eid, 1, 200, pose=GeoPose(5.0, 5.0))
+        inside = rec(eid, 100, pose=GeoPose(0.5, 0.5))
+        outside = rec(eid, 200, pose=GeoPose(5.0, 5.0))
         assert store.insert_frame(inside) is True
         assert store.insert_frame(outside) is False
         assert len(store.query_frames(eid, 0, 1 << 62)) == 1
@@ -98,28 +99,21 @@ class TestInsertFrame:
         store = LdmStore()
         eid = store.upsert_element(element("car-7", static={"brand": "acme"}))
         with pytest.raises(AttributeOverlap):
-            store.insert_frame(rec(eid, 0, 100, attrs={"brand": "x"}))
-
-    def test_timestamp_regression_propagates(self):
-        store = LdmStore()
-        eid = store.upsert_element(element("car-7"))
-        store.insert_frame(rec(eid, 0, 100))
-        with pytest.raises(TimestampRegression):
-            store.insert_frame(rec(eid, 1, 50))
+            store.insert_frame(rec(eid, 100, attrs={"brand": "x"}))
 
     def test_out_of_order_arrival_with_consistent_order_is_fine(self):
         store = LdmStore()
         eid = store.upsert_element(element("car-7"))
-        store.insert_frame(rec(eid, 5, 500))
-        store.insert_frame(rec(eid, 3, 300))
+        store.insert_frame(rec(eid, 500))
+        store.insert_frame(rec(eid, 300))
         frames = store.query_frames(eid, 0, 1000)
-        assert [f.frame_index for f in frames] == [3, 5]
+        assert [f.timestamp for f in frames] == [300, 500]
 
     def test_last_writer_wins_update(self):
         store = LdmStore()
         eid = store.upsert_element(element("car-7"))
-        store.insert_frame(rec(eid, 0, 100, attrs={"speed": 1.0}))
-        store.insert_frame(rec(eid, 0, 100, attrs={"speed": 2.0}))
+        store.insert_frame(rec(eid, 100, attrs={"speed": 1.0}))
+        store.insert_frame(rec(eid, 100, attrs={"speed": 2.0}))
         frames = store.query_frames(eid, 0, 1000)
         assert len(frames) == 1
         assert frames[0].dynamic_attributes["speed"] == 2.0
@@ -128,9 +122,9 @@ class TestInsertFrame:
         store = LdmStore(LdmConfig(max_frames_per_element=3))
         eid = store.upsert_element(element("car-7"))
         for i in range(5):
-            store.insert_frame(rec(eid, i, 100 + i))
+            store.insert_frame(rec(eid, 100 + i))
         frames = store.query_frames(eid, 0, 1000)
-        assert [f.frame_index for f in frames] == [2, 3, 4]
+        assert [f.timestamp for f in frames] == [102, 103, 104]
         assert store.stats().evicted_total == 2
 
 
@@ -155,7 +149,7 @@ class TestEviction:
     def test_expired_l4_frame_is_removed(self):
         store = LdmStore()
         eid = store.upsert_element(element("car-7"))
-        store.insert_frame(rec(eid, 0, 0))
+        store.insert_frame(rec(eid, 0))
         assert store.evict_expired(31 * US) >= 1
         with pytest.raises(UnknownElement):
             store.get_element(eid)  # frameless dynamic element went with it
@@ -174,7 +168,7 @@ class TestEviction:
         store = LdmStore()
         eid = store.upsert_element(element("car-7"))
         for i in range(5):
-            store.insert_frame(rec(eid, i, i * US))
+            store.insert_frame(rec(eid, i * US))
         now = 40 * US
         first = store.evict_expired(now)
         assert first > 0
@@ -184,8 +178,8 @@ class TestEviction:
         store = LdmStore()
         a = store.upsert_element(element("car-7"))
         b = store.upsert_element(element("car-8"))
-        store.insert_frame(rec(a, 0, 0))
-        store.insert_frame(rec(b, 0, 100 * US))
+        store.insert_frame(rec(a, 0))
+        store.insert_frame(rec(b, 100 * US))
         store.add_relation(Relation(a, "follows", b))
         store.evict_expired(50 * US)  # a's only frame expires; b's is fresh
         assert store.stats().relation_count == 0
@@ -195,26 +189,57 @@ class TestEviction:
     def test_boundary_age_is_kept(self):
         store = LdmStore()
         eid = store.upsert_element(element("car-7"))
-        store.insert_frame(rec(eid, 0, 0))
+        store.insert_frame(rec(eid, 0))
         # age == TTL exactly: not strictly older, stays
         assert store.evict_expired(30 * US) == 0
 
     def test_archive_written_before_eviction(self, tmp_path):
         store = LdmStore(LdmConfig(archive_dir=str(tmp_path)))
         eid = store.upsert_element(element("car-7"))
-        store.insert_frame(rec(eid, 0, 0, pose=GeoPose(1.0, 2.0)))
+        store.insert_frame(rec(eid, 0, pose=GeoPose(1.0, 2.0)))
         store.evict_expired(31 * US)
         files = list(tmp_path.glob("evicted-*.json"))
         assert len(files) == 1
         assert "car-7" in files[0].read_text()
 
 
+class TestEvictionTimer:
+    def test_failed_pass_is_logged_and_the_next_pass_runs(self, tmp_path):
+        archive = tmp_path / "archive"
+        archive.write_text("a file where the archive directory should be")
+        store = LdmStore(LdmConfig(archive_dir=str(archive)))
+        eid = store.upsert_element(element("car-7"))
+        store.insert_frame(rec(eid, 0, pose=GeoPose(1.0, 2.0)))
+
+        failed = threading.Event()
+        probe = logging.Handler(logging.ERROR)
+        probe.emit = lambda record: failed.set()
+        logger = logging.getLogger("ldm")
+        logger.addHandler(probe)
+        timer = EvictionTimer(store, period_s=0.01).start()
+        try:
+            assert failed.wait(5.0)
+            assert timer._thread.is_alive()
+            assert store.stats().frame_count == 1  # a failed pass evicts nothing
+
+            archive.unlink()
+            archive.mkdir(exist_ok=True)  # a pass in between may have made it
+            deadline = time.monotonic() + 5.0
+            while store.stats().evicted_total == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert store.stats().evicted_total == 1
+            assert len(list(archive.glob("evicted-*.json"))) == 1
+        finally:
+            timer.stop()
+            logger.removeHandler(probe)
+
+
 class TestQueryFrames:
     def test_half_open_interval(self):
         store = LdmStore()
         eid = store.upsert_element(element("car-7"))
-        for i, ts in enumerate((10, 20, 30)):
-            store.insert_frame(rec(eid, i, ts))
+        for ts in (10, 20, 30):
+            store.insert_frame(rec(eid, ts))
         got = store.query_frames(eid, 10, 30)
         assert [f.timestamp for f in got] == [10, 20]
 
@@ -236,15 +261,15 @@ class TestSnapshot:
     def test_latest_at_or_before(self):
         store = LdmStore()
         eid = store.upsert_element(element("car-7"))
-        store.insert_frame(rec(eid, 0, 10))
-        store.insert_frame(rec(eid, 1, 20))
+        store.insert_frame(rec(eid, 10))
+        store.insert_frame(rec(eid, 20))
         snap = store.snapshot(15)
         assert snap.entries[0].frame.timestamp == 10
 
     def test_static_only_before_first_frame(self):
         store = LdmStore()
         eid = store.upsert_element(element("car-7"))
-        store.insert_frame(rec(eid, 0, 10))
+        store.insert_frame(rec(eid, 10))
         snap = store.snapshot(5)
         assert snap.entries[0].frame is None
         assert snap.entries[0].element.id == eid
@@ -270,7 +295,7 @@ class TestStats:
         store = LdmStore()
         eid = store.upsert_element(element("car-7"))
         for i in range(5):
-            store.insert_frame(rec(eid, i, i * US))
+            store.insert_frame(rec(eid, i * US))
         store.evict_expired(100 * US)
         assert store.stats().evicted_total == 5
 
@@ -311,7 +336,7 @@ class TestProperties:
             order = list(pairs)
             rng.shuffle(order)
             for idx in order:
-                r = rec(eid, idx, 1000 + idx, attrs={"n": float(idx)})
+                r = rec(eid, 1000 + idx, attrs={"n": float(idx)})
                 store.insert_frame(r)
                 shadow[eid][idx] = r
         for at in [999, 1000, 1200, 1500, 2001, 5000]:
@@ -327,7 +352,7 @@ class TestProperties:
         records = []
         for eid in range(4):
             for idx in sorted(rng.sample(range(100), 12)):
-                records.append(rec(eid, idx, 10_000 + idx, attrs={"v": float(idx)}))
+                records.append(rec(eid, 10_000 + idx, attrs={"v": float(idx)}))
 
         def build(order):
             store = LdmStore()
@@ -359,7 +384,6 @@ class TestProperties:
         ids = [store.upsert_element(element(f"e-{i}", layer=layers[i % 4],
                                             kind=ElementKind.Object))
                for i in range(12)]
-        next_idx = {eid: 0 for eid in ids}
         last_ts = {eid: -1 for eid in ids}
         now = 0
         for step in range(2000):
@@ -367,11 +391,9 @@ class TestProperties:
             if action < 0.6:
                 eid = rng.choice(ids)
                 if eid in {e.id for e in store.elements()}:
-                    idx = next_idx[eid]
-                    next_idx[eid] += 1
                     ts = max(last_ts[eid] + 1, now + rng.randint(0, 5))
                     last_ts[eid] = ts
-                    store.insert_frame(rec(eid, idx, ts))
+                    store.insert_frame(rec(eid, ts))
             elif action < 0.8:
                 live = [e.id for e in store.elements()]
                 if len(live) >= 2:
@@ -400,7 +422,7 @@ class TestLocking:
         store = LdmStore()
         with store.write_lock():
             eid = store.upsert_element(element("car-7"))
-            store.insert_frame(rec(eid, 0, 100))
+            store.insert_frame(rec(eid, 100))
             assert store.get_element(eid).name == "car-7"
 
     def test_parallel_readers_and_writers_make_progress(self):
@@ -411,7 +433,7 @@ class TestLocking:
         def writer():
             try:
                 for i in range(200):
-                    store.insert_frame(rec(eid, i, 1000 + i))
+                    store.insert_frame(rec(eid, 1000 + i))
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
