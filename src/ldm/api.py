@@ -336,8 +336,9 @@ class LocalDynamicMap:
             if stats.frame_range is not None:
                 hi = stats.frame_range[1]
                 latest_count = sum(
-                    1 for e in self.store.elements()
-                    if e.kind is ElementKind.Object and hi in e.frames
+                    1 for entry in self.store.snapshot(hi).entries
+                    if entry.element.kind is ElementKind.Object
+                    and entry.frame is not None and entry.frame.timestamp == hi
                 )
             fields: list[tuple[str, object]] = [
                 ("elements.total", sum(per_layer.values())),

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
-from .errors import InvalidElement, InvalidMessage, SceneSyntaxError, SchemaError
+from .errors import InvalidMessage, SceneSyntaxError, SchemaError
 from .geo import enu_to_wgs84
 from .model import (
     ElementKind,
@@ -626,116 +626,18 @@ def commit_payload(payload: OpenLabelPayload, store, source: str = "local_percep
 
     Elements upsert by (kind, name, type); frame records key by their
     timestamp so repeated and out-of-order payloads fuse cleanly; the
-    spatial filter silently drops outside frames. The whole payload is
-    validated against the target store before anything is written, so a
-    hard error commits nothing. Counts report entities actually created
-    or changed, which makes an identical re-commit report all zeros.
+    spatial filter silently drops outside frames. The store checks every
+    element against itself and the rest of the payload before it writes
+    any, so a hard error commits nothing. A missing layer is taken from
+    the same identity elsewhere in the payload, else from the stored
+    element, else L4. Counts report entities actually created or changed,
+    which makes an identical re-commit report all zeros.
     """
     default_source = FrameSource(source) if isinstance(source, str) else source
-
-    with store.write_lock():
-        plan = _validate_against_store(payload, store)
-
-        counts = CommitCounts()
-        ids: dict[tuple[ElementKind, int], int] = {}
-        for kind, table in ((ElementKind.Object, payload.objects), (ElementKind.Context, payload.contexts)):
-            for uid in sorted(table):
-                pe = table[uid]
-                existing = store.find_element(kind, pe.name, pe.semantic_type)
-                changed = existing is None or any(
-                    k not in existing.static_attributes or existing.static_attributes[k] != v
-                    for k, v in pe.static.items()
-                )
-                eid = store.upsert_element(SceneElement(
-                    id=0,
-                    kind=kind,
-                    name=pe.name,
-                    semantic_type=pe.semantic_type,
-                    layer=pe.layer or (existing.layer if existing else LdmLayer.L4_Dynamic),
-                    static_attributes=dict(pe.static),
-                ))
-                ids[(kind, uid)] = eid
-                if changed:
-                    counts.elements += 1
-
-        ts_of_frame = plan["frame_ts"]
-        for index in sorted(payload.frames):
-            frame = payload.frames[index]
-            for kind, section in ((ElementKind.Object, frame.objects), (ElementKind.Context, frame.contexts)):
-                for uid in sorted(section):
-                    data = section[uid]
-                    eid = ids[(kind, uid)]
-                    ts = data.timestamp if data.timestamp is not None else frame.timestamp
-                    rec = FrameRecord(
-                        timestamp=ts,
-                        element_id=eid,
-                        pose=data.pose,
-                        dynamic_attributes=dict(data.data),
-                        source=FrameSource(data.source) if data.source else default_source,
-                    )
-                    before = store.get_element(eid).frames.get(ts)
-                    if store.insert_frame(rec) and rec != before:
-                        counts.frames += 1
-
-        existing_rel_keys = {r.key() for r in store.relations()}
-        for rel in payload.relations:
-            span = None
-            if rel.frame_span is not None:
-                span = (ts_of_frame[rel.frame_span[0]], ts_of_frame[rel.frame_span[1] - 1] + 1)
-            stored = Relation(
-                subject=ids[(rel.subject_kind, rel.subject)],
-                predicate=rel.predicate,
-                object=ids[(rel.object_kind, rel.object)],
-                frame_span=span,
-            )
-            if stored.key() not in existing_rel_keys:
-                counts.relations += 1
-                existing_rel_keys.add(stored.key())
-            store.add_relation(stored)
-
-        for stream in payload.streams.values():
-            store.register_stream(stream)
-        for name, cs in payload.coordinate_systems.items():
-            store.register_coordinate_system(name, cs)
-        return counts
-
-
-def _validate_against_store(payload: OpenLabelPayload, store) -> dict:
-    """Pre-commit validation; raises before any mutation happens."""
-    frame_ts: dict[int, Timestamp] = {i: f.timestamp for i, f in payload.frames.items()}
-
-    dynamic_names: dict[tuple[ElementKind, int], set[str]] = {}
-    for frame in payload.frames.values():
-        for kind, section in ((ElementKind.Object, frame.objects), (ElementKind.Context, frame.contexts)):
-            for uid, data in section.items():
-                dynamic_names.setdefault((kind, uid), set()).update(data.data)
-                if data.pose is not None:
-                    bad = data.pose.range_violations()
-                    if bad:
-                        raise InvalidElement(
-                            [f"frame {frame.index} {kind.value} {uid}: {v}" for v in bad]
-                        )
-
-    for kind, table in ((ElementKind.Object, payload.objects), (ElementKind.Context, payload.contexts)):
-        for uid, pe in table.items():
-            existing = store.find_element(kind, pe.name, pe.semantic_type)
-            static_names = set(pe.static)
-            dyn = set(dynamic_names.get((kind, uid), set()))
-            if existing is not None:
-                if pe.layer is not None and pe.layer is not existing.layer:
-                    raise InvalidElement(
-                        [f"layer change for existing element '{pe.name}': "
-                         f"{existing.layer.name} -> {pe.layer.name}"]
-                    )
-                static_names |= set(existing.static_attributes)
-                dyn |= store.element_dynamic_names(existing.id)
-            overlap = static_names & dyn
-            if overlap:
-                raise InvalidElement(
-                    [f"attribute overlap: {n}" for n in sorted(overlap)]
-                )
-
+    frame_ts = {i: f.timestamp for i, f in payload.frames.items()}
+    spans: list[Optional[tuple[int, int]]] = []
     for i, rel in enumerate(payload.relations):
+        span = None
         if rel.frame_span is not None:
             a, b = rel.frame_span
             if a not in frame_ts or (b - 1) not in frame_ts:
@@ -743,4 +645,48 @@ def _validate_against_store(payload: OpenLabelPayload, store) -> dict:
                     f"frame_span [{a}, {b}) references frames not in the payload",
                     f"relations/{i}/frame_span",
                 )
-    return {"frame_ts": frame_ts}
+            span = (frame_ts[a], frame_ts[b - 1] + 1)
+        spans.append(span)
+
+    elements: dict[tuple[ElementKind, int], SceneElement] = {}
+    layers: dict[tuple, LdmLayer] = {}
+    for kind, table in ((ElementKind.Object, payload.objects), (ElementKind.Context, payload.contexts)):
+        for uid in sorted(table):
+            pe = table[uid]
+            elements[(kind, uid)] = SceneElement(0, kind, pe.name, pe.semantic_type, pe.layer, pe.static)
+            if pe.layer is not None:
+                layers.setdefault((kind, pe.name, pe.semantic_type), pe.layer)
+    for index in sorted(payload.frames):
+        frame = payload.frames[index]
+        for kind, section in ((ElementKind.Object, frame.objects), (ElementKind.Context, frame.contexts)):
+            for uid, data in section.items():
+                ts = data.timestamp if data.timestamp is not None else frame.timestamp
+                elements[(kind, uid)].frames[ts] = FrameRecord(
+                    timestamp=ts,
+                    element_id=0,
+                    pose=data.pose,
+                    dynamic_attributes=dict(data.data),
+                    source=FrameSource(data.source) if data.source else default_source,
+                )
+
+    with store.write_lock():
+        for e in elements.values():
+            if e.layer is None:
+                key = (e.kind, e.name, e.semantic_type)
+                if key not in layers:
+                    stored = store.find_element(*key)
+                    layers[key] = stored.layer if stored else LdmLayer.L4_Dynamic
+                e.layer = layers[key]
+        ids, changed, frames = store.upsert_elements(list(elements.values()))
+        eids = dict(zip(elements, ids))
+        counts = CommitCounts(elements=changed, frames=frames)
+        for rel, span in zip(payload.relations, spans):
+            if store.add_relation(Relation(eids[(rel.subject_kind, rel.subject)], rel.predicate,
+                                           eids[(rel.object_kind, rel.object)], span)):
+                counts.relations += 1
+
+        for stream in payload.streams.values():
+            store.register_stream(stream)
+        for name, cs in payload.coordinate_systems.items():
+            store.register_coordinate_system(name, cs)
+        return counts

@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 # Microseconds since the Unix epoch. Arrival order is not assumed to be
 # time order: a frame is keyed by its timestamp alone.
@@ -104,9 +104,10 @@ class FrameRecord:
 class SceneElement:
     """One scene entity: static descriptor plus per-frame dynamic records.
 
-    frames maps timestamp -> FrameRecord. frame_span is derived: the
-    half-open [min timestamp, max timestamp + 1), or None when purely
-    static.
+    frames maps timestamp -> FrameRecord and is input only: elements read
+    from the store are static descriptors with no frames (read frames
+    through the store). frame_span is derived: the half-open
+    [min timestamp, max timestamp + 1), or None when purely static.
     """
 
     id: ElementId
@@ -115,7 +116,7 @@ class SceneElement:
     semantic_type: str
     layer: LdmLayer
     static_attributes: dict = field(default_factory=dict)
-    frames: Mapping[Timestamp, FrameRecord] = field(default_factory=dict)
+    frames: dict[Timestamp, FrameRecord] = field(default_factory=dict)
 
     @property
     def frame_span(self) -> Optional[tuple[int, int]]:
@@ -154,6 +155,14 @@ class StreamDescriptor:
     source_uri: str = ""
 
 
+def record_violations(rec: FrameRecord) -> list[str]:
+    """Check the invariants of one frame record on its own."""
+    violations = [f"timestamp negative: {rec.timestamp}"] if rec.timestamp < 0 else []
+    if rec.pose is not None:
+        violations.extend(rec.pose.range_violations())
+    return violations
+
+
 def validate_element(e: SceneElement) -> list[str]:
     """Check every SceneElement invariant; returns violation messages.
 
@@ -173,10 +182,7 @@ def validate_element(e: SceneElement) -> list[str]:
         rec = e.frames[ts]
         if rec.timestamp != ts:
             violations.append(f"frame key {ts} != record timestamp {rec.timestamp}")
-        if rec.timestamp < 0:
-            violations.append(f"timestamp negative: {rec.timestamp}")
         if rec.element_id != e.id:
             violations.append(f"frame {ts} element_id {rec.element_id} != {e.id}")
-        if rec.pose is not None:
-            violations.extend(rec.pose.range_violations())
+        violations.extend(record_violations(rec))
     return violations

@@ -192,33 +192,21 @@ def load_into_store(graph: RoadGraph, store) -> tuple[int, int]:
     Returns (node count, way count).
     """
     with store.write_lock():
-        node_ids: dict[int, int] = {}
-        for osm_id in graph.nodes:
-            node = graph.nodes[osm_id]
-            eid = store.upsert_element(SceneElement(
-                id=0,
-                kind=ElementKind.Context,
-                name=str(osm_id),
-                semantic_type="road.node",
-                layer=LdmLayer.L1_Static,
-                static_attributes={"lat": node.lat, "lon": node.lon},
-            ))
-            node_ids[osm_id] = eid
-        for osm_id in graph.ways:
-            way = graph.ways[osm_id]
-            attrs = {f"tag.{k}": v for k, v in way.tags.items()}
-            attrs["oneway"] = way.oneway
-            attrs["node_refs"] = list(way.node_refs)
-            way_eid = store.upsert_element(SceneElement(
-                id=0,
-                kind=ElementKind.Context,
-                name=str(osm_id),
-                semantic_type="road.way",
-                layer=LdmLayer.L1_Static,
-                static_attributes=attrs,
-            ))
+        node_ids, _, _ = store.upsert_elements([
+            SceneElement(0, ElementKind.Context, str(osm_id), "road.node", LdmLayer.L1_Static,
+                         {"lat": node.lat, "lon": node.lon})
+            for osm_id, node in graph.nodes.items()
+        ])
+        node_eid = dict(zip(graph.nodes, node_ids))
+        way_ids, _, _ = store.upsert_elements([
+            SceneElement(0, ElementKind.Context, str(osm_id), "road.way", LdmLayer.L1_Static,
+                         {**{f"tag.{k}": v for k, v in way.tags.items()},
+                          "oneway": way.oneway, "node_refs": list(way.node_refs)})
+            for osm_id, way in graph.ways.items()
+        ])
+        for way_eid, way in zip(way_ids, graph.ways.values()):
             for ref in way.node_refs:
-                store.add_relation(Relation(way_eid, "hasNode", node_ids[ref]))
+                store.add_relation(Relation(way_eid, "hasNode", node_eid[ref]))
     return (len(graph.nodes), len(graph.ways))
 
 

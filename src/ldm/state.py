@@ -11,6 +11,7 @@ written by the export function.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Optional, Union
 
@@ -45,10 +46,15 @@ def save_state(ldm: LocalDynamicMap, state_dir: Union[str, Path]) -> None:
                 "last_update": stats.last_update,
                 "evicted_total": stats.evicted_total,
             }
-        (state_dir / SCENE_FILE).write_text(serialize_document(doc), encoding="utf-8")
-        (state_dir / META_FILE).write_text(json.dumps(meta) + "\n", encoding="utf-8")
+        texts = {SCENE_FILE: serialize_document(doc), META_FILE: json.dumps(meta) + "\n"}
         if ldm.road_graph is not None:
-            (state_dir / MAP_FILE).write_text(_graph_to_json(ldm.road_graph), encoding="utf-8")
+            texts[MAP_FILE] = _graph_to_json(ldm.road_graph)
+        # Every file is written aside before any is replaced, so a failed
+        # save leaves the previous state whole.
+        for name, text in texts.items():
+            (state_dir / f"{name}.tmp").write_text(text, encoding="utf-8")
+        for name in texts:
+            os.replace(state_dir / f"{name}.tmp", state_dir / name)
     except OSError as exc:
         raise FileError(f"cannot write state dir {state_dir}: {exc}") from exc
 

@@ -16,8 +16,7 @@ import math
 import os
 import threading
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import (
@@ -39,6 +38,7 @@ from .model import (
     StreamDescriptor,
     Timestamp,
     now_us,
+    record_violations,
     validate_element,
 )
 
@@ -113,7 +113,9 @@ class SnapshotEntry:
 @dataclass
 class Snapshot:
     """State of the scene as of a timestamp: per element, the latest
-    frame at or before `at` (None for purely static elements)."""
+    frame at or before `at` (None for purely static elements). Later
+    writes leave it unchanged: the store replaces, never mutates, the
+    elements and records it hands out."""
 
     at: Timestamp
     entries: list[SnapshotEntry]
@@ -203,17 +205,10 @@ class _Entry:
     __slots__ = ("element", "frames", "times", "latest_ts", "dynamic_names")
 
     def __init__(self, element: SceneElement, latest_ts: Timestamp):
+        # Handed out to readers as is, so it is never mutated: a static
+        # merge replaces it. It carries no frames.
+        self.element = element
         self.frames: dict[Timestamp, FrameRecord] = {}
-        # The public view shares the live frame dict, read-only.
-        self.element = SceneElement(
-            id=element.id,
-            kind=element.kind,
-            name=element.name,
-            semantic_type=element.semantic_type,
-            layer=element.layer,
-            static_attributes=dict(element.static_attributes),
-            frames=MappingProxyType(self.frames),
-        )
         self.times: list[Timestamp] = []
         self.latest_ts = latest_ts
         # Dynamic attribute names stay reserved for the element's
@@ -260,33 +255,76 @@ class LdmStore:
     # -- element / frame / relation writes --
 
     def upsert_element(self, e: SceneElement) -> ElementId:
-        """Insert or merge an element by its (kind, name, type) identity.
+        """Insert or merge one element with the frames it carries; see
+        upsert_elements. Returns the element id."""
+        return self.upsert_elements([e])[0][0]
 
-        Static attributes of an existing element are merged, new keys
-        winning. Frames carried on the value are inserted through the
-        normal frame path. Returns the element id.
+    def upsert_elements(self, elements: list[SceneElement]) -> tuple[list[ElementId], int, int]:
+        """Insert or merge a batch of elements with the frames they
+        carry, all or nothing.
+
+        Elements merge by their (kind, name, type) identity with the
+        stored element and with each other: static attributes merge, new
+        keys winning, and frames are stored by timestamp, replacing the
+        record stored at the same time. The whole batch is checked before
+        anything is written, so a raise (InvalidElement) writes nothing:
+        each element must be valid, keep its identity's layer, and no
+        attribute name may be static and dynamic for one identity, frames
+        stored earlier included. The ids on the values are ignored; frame
+        records are stored as given, not copied, with their element_id
+        set to the stored id. The spatial filter drops outside frames.
+
+        Returns the ids in input order, the number of elements created or
+        whose statics changed, and the number of frames stored that differ
+        from the record they replace.
         """
-        violations = validate_element(e)
-        if violations:
-            raise InvalidElement(violations)
+        for e in elements:
+            violations = validate_element(e)
+            if violations:
+                raise InvalidElement(violations)
         with self._lock.write():
-            eid = self._by_key.get((e.kind, e.name, e.semantic_type))
-            if eid is None:
-                eid = self._next_id
-            else:
-                entry = self._entries[eid]
-                if entry.element.layer is not e.layer:
-                    raise InvalidElement(
-                        [f"layer change for existing element '{e.name}': "
-                         f"{entry.element.layer.name} -> {e.layer.name}"]
-                    )
-                overlap = set(e.static_attributes) & entry.dynamic_names
-                if overlap:
-                    raise InvalidElement(
-                        [f"attribute overlap: {n}" for n in sorted(overlap)]
-                    )
-                entry.element.static_attributes.update(e.static_attributes)
-            return self._store_element_locked(e, eid)
+            self._check_batch_locked(elements)
+            ids: list[ElementId] = []
+            changed = frames = 0
+            for e in elements:
+                eid = self._by_key.get((e.kind, e.name, e.semantic_type), self._next_id)
+                created_or_changed, written = self._write_element_locked(e, eid)
+                ids.append(eid)
+                changed += created_or_changed
+                frames += written
+            return ids, changed, frames
+
+    def _check_batch_locked(self, elements: list[SceneElement]) -> None:
+        """Merge layer, static names and dynamic names per identity over
+        the stored element and the batch; raise InvalidElement on a layer
+        change or a name both static and dynamic."""
+        merged: dict[tuple, tuple[LdmLayer, set, set]] = {}
+        for e in elements:
+            key = (e.kind, e.name, e.semantic_type)
+            identity = merged.get(key)
+            if identity is None:
+                eid = self._by_key.get(key)
+                if eid is None:
+                    identity = (e.layer, set(), set())
+                else:
+                    entry = self._entries[eid]
+                    identity = (entry.element.layer, set(entry.element.static_attributes),
+                                set(entry.dynamic_names))
+                merged[key] = identity
+            layer, statics, names = identity
+            if layer is not e.layer:
+                raise InvalidElement(
+                    [f"layer change for existing element '{e.name}': "
+                     f"{layer.name} -> {e.layer.name}"]
+                )
+            statics.update(e.static_attributes)
+            names.update(e.dynamic_attribute_names())
+        for _, statics, names in merged.values():
+            overlap = statics & names
+            if overlap:
+                raise InvalidElement(
+                    [f"attribute overlap: {n}" for n in sorted(overlap)]
+                )
 
     def restore_element(self, e: SceneElement) -> ElementId:
         """Insert an element under its explicit id (state reload path).
@@ -301,55 +339,62 @@ class LdmStore:
             key = (e.kind, e.name, e.semantic_type)
             if e.id in self._entries or key in self._by_key:
                 raise InvalidElement([f"element id {e.id} or key {key} already present"])
-            return self._store_element_locked(e, e.id)
+            self._write_element_locked(e, e.id)
+            return e.id
 
-    def _store_element_locked(self, e: SceneElement, eid: ElementId) -> ElementId:
-        """Create the entry for e under eid unless it exists, then insert
-        the frames e carries."""
+    def _write_element_locked(self, e: SceneElement, eid: ElementId) -> tuple[bool, int]:
+        """Write a checked element under eid: create its entry or merge
+        its statics, then store its frames. Returns whether the element
+        was created or its statics changed, and how many frames changed."""
         entry = self._entries.get(eid)
         if entry is None:
-            entry = _Entry(
-                SceneElement(eid, e.kind, e.name, e.semantic_type, e.layer,
-                             dict(e.static_attributes)),
-                self._last_update,
-            )
-            self._entries[eid] = entry
+            element = replace(e, id=eid, static_attributes=dict(e.static_attributes), frames={})
+            entry = self._entries[eid] = _Entry(element, self._last_update)
             self._by_key[(e.kind, e.name, e.semantic_type)] = eid
             self._next_id = max(self._next_id, eid + 1)
+            changed = True
+        else:
+            old = entry.element.static_attributes
+            changed = any(k not in old or old[k] != v for k, v in e.static_attributes.items())
+            if changed:
+                entry.element = replace(entry.element, static_attributes={**old, **e.static_attributes})
+        frames = 0
         for ts in sorted(e.frames):
             rec = e.frames[ts]
-            self._insert_frame_locked(entry, FrameRecord(
-                ts, eid, rec.pose, dict(rec.dynamic_attributes), rec.source,
-            ))
-        return eid
+            rec.element_id = eid
+            before = entry.frames.get(ts)
+            if self._write_frame_locked(entry, rec) and rec != before:
+                frames += 1
+        return changed, frames
 
     def insert_frame(self, rec: FrameRecord) -> bool:
         """Insert or update one frame record.
 
-        Returns False (storing nothing) when a spatial filter is set and
-        the record's pose falls outside it; True otherwise.
+        Raises InvalidElement for a record that breaks its own
+        invariants and AttributeOverlap for a dynamic name the element
+        holds as static. Returns False (storing nothing) when a spatial
+        filter is set and the record's pose falls outside it; True
+        otherwise.
         """
         with self._lock.write():
             entry = self._entries.get(rec.element_id)
             if entry is None:
                 raise UnknownElement(f"element {rec.element_id} not in store")
-            return self._insert_frame_locked(entry, rec)
+            violations = record_violations(rec)
+            if violations:
+                raise InvalidElement(violations)
+            overlap = rec.dynamic_attributes.keys() & entry.element.static_attributes.keys()
+            if overlap:
+                raise AttributeOverlap("attribute overlap: " + ", ".join(sorted(overlap)))
+            return self._write_frame_locked(entry, rec)
 
-    def _insert_frame_locked(self, entry: _Entry, rec: FrameRecord) -> bool:
-        if rec.timestamp < 0:
-            raise InvalidElement([f"timestamp negative: {rec.timestamp}"])
-        if rec.pose is not None:
-            bad = rec.pose.range_violations()
-            if bad:
-                raise InvalidElement(bad)
+    def _write_frame_locked(self, entry: _Entry, rec: FrameRecord) -> bool:
+        """Store a checked record unless the spatial filter drops it,
+        then trim the element to the frame cap."""
         box = self._config.spatial_filter
         if box is not None and rec.pose is not None:
             if not box.contains(rec.pose.lat, rec.pose.lon):
                 return False
-        overlap = set(rec.dynamic_attributes) & set(entry.element.static_attributes)
-        if overlap:
-            raise AttributeOverlap("attribute overlap: " + ", ".join(sorted(overlap)))
-
         ts = rec.timestamp
         if ts not in entry.frames:
             insort(entry.times, ts)
@@ -365,18 +410,20 @@ class LdmStore:
                 self._evicted_total += 1
         return True
 
-    def add_relation(self, r: Relation) -> None:
-        """Store a relation edge; an exact duplicate is a no-op."""
+    def add_relation(self, r: Relation) -> bool:
+        """Store a relation edge; returns False for an exact duplicate,
+        which is a no-op, and True for a new edge."""
         with self._lock.write():
             for end in (r.subject, r.object):
                 if end not in self._entries:
                     raise UnknownElement(f"relation endpoint {end} not in store")
             key = r.key()
             if key in self._relations:
-                return
+                return False
             self._relations[key] = r
             self._rels_by_element.setdefault(r.subject, set()).add(key)
             self._rels_by_element.setdefault(r.object, set()).add(key)
+            return True
 
     def register_stream(self, stream: StreamDescriptor) -> None:
         with self._lock.write():

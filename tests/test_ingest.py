@@ -268,6 +268,35 @@ class TestCommitPayload:
             commit_payload(parse_openlabel(doc), store)
         assert self._contents(store) == before
 
+    @pytest.mark.parametrize("elements, error", [
+        ([({"name": "car-9", "type": "vehicle.car", "layer": "L4"}, {"pose": {"lat": 1.0, "lon": 2.1}}),
+          ({"name": "car-9", "type": "vehicle.car", "layer": "L3"}, None)], "layer change"),
+        ([({"name": "car-9", "type": "vehicle.car", "static": {"s": 1}}, None),
+          ({"name": "car-9", "type": "vehicle.car"}, {"data": {"s": 2}})], "attribute overlap"),
+        ([({"name": "car-9", "type": "vehicle.car"}, {"pose": {"lat": 1.0, "lon": 2.1}}),
+          ({"name": "", "type": "vehicle.car"}, None)], "name empty"),
+        ([({"name": "sign-2", "type": "sign.stop"}, None),
+          ({"name": "sign-2", "type": "sign.stop", "layer": "L3"}, None)], None),
+    ], ids=["layers-L4-L3", "static-and-dynamic-name", "empty-name-after-valid", "layerless-and-L3"])
+    def test_elements_sharing_a_payload_commit_whole_or_not_at_all(self, elements, error):
+        for order in (elements, elements[::-1]):
+            store = self._seeded_store()
+            before = self._contents(store)
+            root = {"objects": {}, "frames": {"0": {"timestamp": 2000, "objects": {}}}}
+            for uid, (body, data) in enumerate(order, 1):
+                root["objects"][str(uid)] = body
+                if data is not None:
+                    root["frames"]["0"]["objects"][str(uid)] = data
+            payload = parse_openlabel({"openlabel": root})
+            if error is None:
+                commit_payload(payload, store)
+                sign = store.find_element(ElementKind.Object, "sign-2", "sign.stop")
+                assert sign.layer is LdmLayer.L3_Transient
+            else:
+                with pytest.raises(InvalidElement, match=error):
+                    commit_payload(payload, store)
+                assert self._contents(store) == before
+
     def test_messages_fuse_by_timestamp(self):
         store = LdmStore()
         rng = random.Random(13)

@@ -1,5 +1,8 @@
+import pytest
+
 from conftest import chain_xml, random_scene
 from ldm.api import LocalDynamicMap
+from ldm.errors import FileError
 from ldm.model import ElementKind, Relation
 from ldm.state import SCENE_FILE, load_state, save_state
 
@@ -54,3 +57,31 @@ def test_counters_survive(tmp_path):
     save_state(ldm, tmp_path)
     back = load_state(tmp_path)
     assert back.store.stats().evicted_total == evicted
+
+
+def _one_object(name):
+    return {"openlabel": {
+        "metadata": {},
+        "objects": {"0": {"name": name, "type": "vehicle.car"}},
+        "frames": {"0": {"timestamp": T0, "objects": {"0": {}}}},
+    }}
+
+
+def test_failed_save_leaves_the_previous_state_whole(tmp_path, monkeypatch):
+    ldm = LocalDynamicMap()
+    ldm.load_map(chain_xml(n=4))
+    ldm.add_objects(_one_object("a"))
+    save_state(ldm, tmp_path)
+
+    def unwritable(graph):
+        raise OSError("no space left on device")
+
+    ldm.add_objects(_one_object("b"))
+    monkeypatch.setattr("ldm.state._graph_to_json", unwritable)
+    with pytest.raises(FileError):
+        save_state(ldm, tmp_path)
+    monkeypatch.undo()
+
+    back = load_state(tmp_path)
+    assert [e.name for e in back.store.elements() if e.kind is ElementKind.Object] == ["a"]
+    assert list(back.road_graph.ways.items()) == list(ldm.road_graph.ways.items())

@@ -65,6 +65,16 @@ class TestUpsert:
         with pytest.raises(InvalidElement):
             store.upsert_element(element("car-7", static={"speed": 9.0}))
 
+    def test_frame_clashing_with_stored_static_writes_nothing(self):
+        store = LdmStore()
+        eid = store.upsert_element(element("car-7", static={"brand": "acme"}))
+        e = element("car-7", static={"color": "red"})
+        e.frames = {100: rec(0, 100, attrs={"brand": "x"})}
+        with pytest.raises(InvalidElement, match="attribute overlap"):
+            store.upsert_element(e)
+        assert store.get_element(eid).static_attributes == {"brand": "acme"}
+        assert store.query_frames(eid, 0, 1 << 62) == []
+
     def test_restore_element_preserves_id(self):
         store = LdmStore()
         e = element("car-7")
@@ -137,6 +147,13 @@ class TestRelations:
         store.add_relation(Relation(a, "isOnWay", b))
         store.add_relation(Relation(a, "isOnWay", b))
         assert store.stats().relation_count == 1
+
+    def test_add_reports_whether_the_edge_is_new(self):
+        store = LdmStore()
+        a = store.upsert_element(element("car-7"))
+        b = store.upsert_element(element("car-8"))
+        assert store.add_relation(Relation(a, "follows", b)) is True
+        assert store.add_relation(Relation(a, "follows", b)) is False
 
     def test_missing_endpoint(self):
         store = LdmStore()
@@ -265,6 +282,17 @@ class TestSnapshot:
         store.insert_frame(rec(eid, 20))
         snap = store.snapshot(15)
         assert snap.entries[0].frame.timestamp == 10
+
+    def test_unchanged_by_later_insert_upsert_and_eviction(self):
+        store = LdmStore()
+        eid = store.upsert_element(element("car-7", static={"c": 1}))
+        store.insert_frame(rec(eid, 0))
+        entry = store.snapshot(0).entries[0]
+        before = (len(entry.element.frames), dict(entry.element.static_attributes), entry.frame)
+        store.insert_frame(rec(eid, 10 * US))
+        store.upsert_element(element("car-7", static={"c": 2}))
+        store.evict_expired(100 * US)
+        assert (len(entry.element.frames), entry.element.static_attributes, entry.frame) == before
 
     def test_static_only_before_first_frame(self):
         store = LdmStore()
