@@ -31,7 +31,6 @@ from .ingest import (
 )
 from .model import (
     ElementId,
-    ElementKind,
     FrameRecord,
     GeoPose,
     LdmLayer,
@@ -190,9 +189,11 @@ class LocalDynamicMap:
             raise ValueError(f"speed_eps must be >= 0, got {speed_eps}")
         window_us = int(window_s * 1e6)
         rows = []
-        for element in self.store.elements():
-            if element.kind is not ElementKind.Object:
+        for entry in self.store.objects_at(at):
+            # No frame in (at - window, at] if the latest one is older.
+            if entry.frame is None or entry.frame.timestamp <= at - window_us:
                 continue
+            element = entry.element
             frames = self.store.query_frames(element.id, at - window_us + 1, at + 1)
             if len(frames) < 2:
                 continue
@@ -336,9 +337,8 @@ class LocalDynamicMap:
             if stats.frame_range is not None:
                 hi = stats.frame_range[1]
                 latest_count = sum(
-                    1 for entry in self.store.snapshot(hi).entries
-                    if entry.element.kind is ElementKind.Object
-                    and entry.frame is not None and entry.frame.timestamp == hi
+                    1 for entry in self.store.objects_at(hi)
+                    if entry.frame is not None and entry.frame.timestamp == hi
                 )
             fields: list[tuple[str, object]] = [
                 ("elements.total", sum(per_layer.values())),
@@ -373,14 +373,10 @@ class LocalDynamicMap:
 
     def _object_states(self, at: Timestamp, exclude: Optional[ElementId] = None):
         """(element, latest positioned frame <= at) for every object."""
-        snap = self.store.snapshot(at)
-        for entry in snap.entries:
-            e = entry.element
-            if e.kind is not ElementKind.Object or e.id == exclude:
+        for entry in self.store.objects_at(at):
+            if entry.element.id == exclude or entry.frame is None or entry.frame.pose is None:
                 continue
-            if entry.frame is None or entry.frame.pose is None:
-                continue
-            yield e, entry.frame
+            yield entry.element, entry.frame
 
     @staticmethod
     def _report(element: SceneElement, rec: Optional[FrameRecord], **extra) -> ObjectReport:

@@ -12,10 +12,12 @@ import math
 import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Optional, Union
+from itertools import chain, product
+from typing import IO, Iterable, Optional, Union
 
 from .errors import MalformedDocument, UnknownNode
 from .geo import (
+    EARTH_RADIUS_M,
     EnuPoint,
     GeoBox,
     bearing_deg,
@@ -26,11 +28,20 @@ from .geo import (
 )
 from .model import ElementKind, LdmLayer, Relation, SceneElement
 
-# Invented, configurable constants: candidate ways are prefiltered by a
-# bounding box inflated by MATCH_INFLATE_M, and a position further than
-# MATCH_THRESHOLD_M from every segment is reported as unmatched.
+# Invented constants: candidate ways are prefiltered by a bounding box
+# inflated by MATCH_INFLATE_M, and a position further than
+# MATCH_THRESHOLD_M (a map_match parameter) from every segment is
+# reported as unmatched.
 MATCH_THRESHOLD_M = 50.0
 MATCH_INFLATE_M = 100.0
+
+# Way-cell index: cells are CELL_DEG degrees of latitude by CELL_DEG
+# degrees of longitude (about 0.0018), and each way is listed in every
+# cell its inflated box overlaps. A way whose inflated box spans more
+# than MAX_CELLS_PER_WAY cells (across the antimeridian, or near a pole)
+# is a candidate for every position instead.
+CELL_DEG = math.degrees(2 * MATCH_INFLATE_M / EARTH_RADIUS_M)
+MAX_CELLS_PER_WAY = 4096
 
 ONEWAY_TRUE = {"yes", "true", "1"}
 
@@ -62,7 +73,10 @@ class RoadGraph:
     """Geo-referenced road topology: nodes, ways and weighted adjacency.
 
     adjacency maps node id -> [(neighbor id, way id, segment length m)];
-    edges are bidirectional unless the way is oneway.
+    edges are bidirectional unless the way is oneway. rebuild_adjacency
+    derives adjacency, the way boxes and the way-cell index from nodes
+    and ways; parse_osm and merge_graphs call it, and a graph filled by
+    hand needs that call before it is queried.
     """
 
     nodes: dict[int, RoadNode] = field(default_factory=dict)
@@ -70,15 +84,21 @@ class RoadGraph:
     adjacency: dict[int, list[tuple[int, int, float]]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     _bboxes: dict[int, GeoBox] = field(default_factory=dict, compare=False, repr=False)
+    _cells: dict[tuple[int, int], list[int]] = field(default_factory=dict, compare=False, repr=False)
+    _wide_ways: list[int] = field(default_factory=list, compare=False, repr=False)
 
     def way_bbox(self, way_id: int) -> GeoBox:
-        box = self._bboxes.get(way_id)
-        if box is None:
-            lats = [self.nodes[n].lat for n in self.ways[way_id].node_refs]
-            lons = [self.nodes[n].lon for n in self.ways[way_id].node_refs]
-            box = GeoBox(min(lats), min(lons), max(lats), max(lons))
-            self._bboxes[way_id] = box
-        return box
+        return self._bboxes[way_id]
+
+    def ways_near(self, lat: float, lon: float) -> Iterable[int]:
+        """The ways listed in the position's cell, plus the wide ways: a
+        superset of the ways whose bounding box, inflated by
+        MATCH_INFLATE_M, contains the position."""
+        try:
+            cell = _cell(lat, lon)
+        except (ValueError, OverflowError):  # NaN or infinite position
+            return self._wide_ways
+        return chain(self._cells.get(cell, ()), self._wide_ways)
 
     def segment_count(self) -> int:
         return sum(len(w.node_refs) - 1 for w in self.ways.values())
@@ -172,15 +192,41 @@ def merge_graphs(base: RoadGraph, incoming: RoadGraph) -> RoadGraph:
 
 
 def rebuild_adjacency(graph: RoadGraph) -> None:
-    """Recompute adjacency (and segment lengths) from nodes and ways."""
+    """Recompute adjacency (and segment lengths), the way boxes and the
+    way-cell index from nodes and ways."""
     graph.adjacency = {node_id: [] for node_id in graph.nodes}
+    graph._bboxes, graph._cells, graph._wide_ways = {}, {}, []
     for way in graph.ways.values():
-        for a, b in zip(way.node_refs, way.node_refs[1:]):
-            na, nb = graph.nodes[a], graph.nodes[b]
+        refs = way.node_refs
+        pts = [graph.nodes[n] for n in refs]
+        for a, b, na, nb in zip(refs, refs[1:], pts, pts[1:]):
             length = haversine_m(na.lat, na.lon, nb.lat, nb.lon)
             graph.adjacency[a].append((b, way.osm_id, length))
             if not way.oneway:
                 graph.adjacency[b].append((a, way.osm_id, length))
+        lats = [p.lat for p in pts]
+        lons = [p.lon for p in pts]
+        box = graph._bboxes[way.osm_id] = GeoBox(min(lats), min(lons), max(lats), max(lons))
+        _index_way(graph, way.osm_id, box.inflate_m(MATCH_INFLATE_M))
+
+
+def _cell(lat: float, lon: float) -> tuple[int, int]:
+    return math.floor(lat / CELL_DEG), math.floor(lon / CELL_DEG)
+
+
+def _index_way(graph: RoadGraph, way_id: int, box: GeoBox) -> None:
+    """List the way in every cell the box overlaps. floor(x / CELL_DEG)
+    is monotone in x, so a position inside the box lies in one of them."""
+    try:
+        (lat0, lon0), (lat1, lon1) = _cell(box.min_lat, box.min_lon), _cell(box.max_lat, box.max_lon)
+    except (ValueError, OverflowError):  # NaN or infinite coordinates
+        graph._wide_ways.append(way_id)
+        return
+    if (lat1 - lat0 + 1) * (lon1 - lon0 + 1) > MAX_CELLS_PER_WAY:
+        graph._wide_ways.append(way_id)
+        return
+    for cell in product(range(lat0, lat1 + 1), range(lon0, lon1 + 1)):
+        graph._cells.setdefault(cell, []).append(way_id)
 
 
 def load_into_store(graph: RoadGraph, store) -> tuple[int, int]:
@@ -188,8 +234,9 @@ def load_into_store(graph: RoadGraph, store) -> tuple[int, int]:
 
     Nodes become "road.node" contexts, ways become "road.way" contexts
     with their tags as static attributes, connected to their nodes by
-    ordered "hasNode" relations. Idempotent: elements upsert by osm id.
-    Returns (node count, way count).
+    "hasNode" relations. Idempotent: elements upsert by osm id, and a
+    reloaded way's "hasNode" edges are replaced by those of its new node
+    list. Returns (node count, way count).
     """
     with store.write_lock():
         node_ids, _, _ = store.upsert_elements([
@@ -204,6 +251,12 @@ def load_into_store(graph: RoadGraph, store) -> tuple[int, int]:
                           "oneway": way.oneway, "node_refs": list(way.node_refs)})
             for osm_id, way in graph.ways.items()
         ])
+        way_nodes = {way_eid: {node_eid[ref] for ref in way.node_refs}
+                     for way_eid, way in zip(way_ids, graph.ways.values())}
+        for rel in store.relations():
+            nodes = way_nodes.get(rel.subject)
+            if nodes is not None and rel.predicate == "hasNode" and rel.object not in nodes:
+                store.remove_relation(rel)
         for way_eid, way in zip(way_ids, graph.ways.values()):
             for ref in way.node_refs:
                 store.add_relation(Relation(way_eid, "hasNode", node_eid[ref]))
@@ -251,18 +304,18 @@ def map_match(
     lon: float,
     *,
     threshold_m: float = MATCH_THRESHOLD_M,
-    inflate_m: float = MATCH_INFLATE_M,
 ) -> Optional[MatchResult]:
     """Snap a position to the nearest road segment.
 
-    Candidate ways are those whose inflated bounding box contains the
-    position. Returns None when every segment is further than
-    threshold_m. Near-ties (within 1e-9 m) resolve to the lower
-    (way id, segment index).
+    Candidate ways are those whose bounding box, inflated by
+    MATCH_INFLATE_M, contains the position; the way-cell index lists
+    them without visiting the rest of the map. Returns None when every
+    segment is further than threshold_m. Near-ties (within 1e-9 m)
+    resolve to the lower (way id, segment index).
     """
     candidates: list[tuple[float, int, int]] = []
-    for way_id in graph.ways:
-        if not graph.way_bbox(way_id).inflate_m(inflate_m).contains(lat, lon):
+    for way_id in graph.ways_near(lat, lon):
+        if not graph.way_bbox(way_id).inflate_m(MATCH_INFLATE_M).contains(lat, lon):
             continue
         way = graph.ways[way_id]
         for i, (a, b) in enumerate(zip(way.node_refs, way.node_refs[1:])):

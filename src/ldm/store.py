@@ -224,6 +224,8 @@ class LdmStore:
         self._config = config or LdmConfig()
         validate_config(self._config)
         self._entries: dict[ElementId, _Entry] = {}
+        # The Object-kind subset of _entries, for the object queries.
+        self._objects: dict[ElementId, _Entry] = {}
         self._by_key: dict[tuple, ElementId] = {}
         self._relations: dict[tuple, Relation] = {}
         self._rels_by_element: dict[ElementId, set[tuple]] = {}
@@ -348,8 +350,10 @@ class LdmStore:
         was created or its statics changed, and how many frames changed."""
         entry = self._entries.get(eid)
         if entry is None:
-            element = replace(e, id=eid, static_attributes=dict(e.static_attributes), frames={})
+            element = SceneElement(eid, e.kind, e.name, e.semantic_type, e.layer, dict(e.static_attributes))
             entry = self._entries[eid] = _Entry(element, self._last_update)
+            if e.kind is ElementKind.Object:
+                self._objects[eid] = entry
             self._by_key[(e.kind, e.name, e.semantic_type)] = eid
             self._next_id = max(self._next_id, eid + 1)
             changed = True
@@ -425,6 +429,23 @@ class LdmStore:
             self._rels_by_element.setdefault(r.object, set()).add(key)
             return True
 
+    def remove_relation(self, r: Relation) -> bool:
+        """Drop a relation edge; returns False when it is not stored."""
+        with self._lock.write():
+            key = r.key()
+            if self._relations.pop(key, None) is None:
+                return False
+            self._unlink_relation_locked(r.subject, key)
+            self._unlink_relation_locked(r.object, key)
+            return True
+
+    def _unlink_relation_locked(self, eid: ElementId, key: tuple) -> None:
+        peers = self._rels_by_element.get(eid)
+        if peers is not None:
+            peers.discard(key)
+            if not peers:
+                del self._rels_by_element[eid]
+
     def register_stream(self, stream: StreamDescriptor) -> None:
         with self._lock.write():
             self._streams[stream.name] = stream
@@ -476,18 +497,13 @@ class LdmStore:
 
     def _remove_element_locked(self, eid: ElementId) -> None:
         entry = self._entries.pop(eid)
+        self._objects.pop(eid, None)
         key = (entry.element.kind, entry.element.name, entry.element.semantic_type)
         self._by_key.pop(key, None)
         for rel_key in self._rels_by_element.pop(eid, set()):
             rel = self._relations.pop(rel_key, None)
-            if rel is None:
-                continue
-            other = rel.object if rel.subject == eid else rel.subject
-            peers = self._rels_by_element.get(other)
-            if peers is not None:
-                peers.discard(rel_key)
-                if not peers:
-                    del self._rels_by_element[other]
+            if rel is not None:
+                self._unlink_relation_locked(rel.object if rel.subject == eid else rel.subject, rel_key)
 
     def _archive_locked(self, now: Timestamp, expired: dict[ElementId, list[FrameRecord]]) -> None:
         # Imported here: ingest sits above the store in the layering.
@@ -586,6 +602,17 @@ class LdmStore:
                 rec = entry.frames[entry.times[pos - 1]] if pos else None
                 entries.append(SnapshotEntry(entry.element, rec))
             return Snapshot(at, entries, list(self._relations.values()))
+
+    def objects_at(self, at: Timestamp) -> list[SnapshotEntry]:
+        """Every Object-kind element with its latest frame at or before
+        `at` (None if it has none): the Object entries of snapshot(at),
+        in no set order and without the relations."""
+        with self._lock.read():
+            out = []
+            for entry in self._objects.values():
+                pos = bisect_right(entry.times, at)
+                out.append(SnapshotEntry(entry.element, entry.frames[entry.times[pos - 1]] if pos else None))
+            return out
 
     def stats(self) -> StoreStats:
         with self._lock.read():

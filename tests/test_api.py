@@ -183,6 +183,18 @@ class TestStationaryObjects:
         rows = ldm.stationary_objects(T0 + 1_000_000, 5.0, 0.5)
         assert [r.name for r in rows] == ["still"]
 
+    def test_window_edges_are_exact(self):
+        # The window is (at - 5 s, at]: "inside" has its two frames at
+        # its first and second microsecond, "before" ends on its edge.
+        at = T0 + 5_000_000
+        ldm = LocalDynamicMap()
+        ldm.add_objects(scene_with({
+            "inside": [(T0 + 1, 0.0, 0.0, None, 0.0), (T0 + 2, 0.0, 0.0, None, 0.0)],
+            "before": [(T0 - 1, 0.0, 0.0, None, 0.0), (T0, 0.0, 0.0, None, 0.0)],
+        }))
+        assert [r.name for r in ldm.stationary_objects(at, 5.0, 0.5)] == ["inside"]
+        assert [r.name for r in ldm.stationary_objects(at - 2, 5.0, 0.5)] == ["inside", "before"]
+
     def test_matches_oracle_on_random_scene(self, rng):
         ldm = LocalDynamicMap()
         ldm.add_objects(random_scene(rng, max_objects=20, max_frames=40, base_ts=T0))

@@ -1,13 +1,28 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import BASE_LAT, BASE_LON, chain_xml, offset_point, osm_xml, random_osm
 from ldm.errors import MalformedDocument, UnknownNode
-from ldm.geo import haversine_m
+from ldm.geo import EnuPoint, GeoBox, enu_to_wgs84, haversine_m, project_to_segment, wgs84_to_enu
 from ldm.model import ElementKind, LdmLayer
-from ldm.roadnet import map_match, next_nodes, parse_osm, load_into_store
+from ldm.roadnet import (
+    CELL_DEG,
+    MATCH_INFLATE_M,
+    MATCH_THRESHOLD_M,
+    RoadGraph,
+    RoadNode,
+    RoadWay,
+    load_into_store,
+    map_match,
+    next_nodes,
+    parse_osm,
+    rebuild_adjacency,
+)
 from ldm.store import LdmStore
 
 
@@ -121,9 +136,23 @@ class TestLoadIntoStore:
         assert (store.elements(), store.relations()) == before
 
     def test_empty_graph(self):
-        from ldm.roadnet import RoadGraph
-
         assert load_into_store(RoadGraph(), LdmStore()) == (0, 0)
+
+    def test_way_reload_replaces_its_node_edges(self):
+        nodes = [(n, *offset_point(100.0 * n, 0.0)) for n in (1, 2, 3, 4)]
+        store = LdmStore()
+        load_into_store(parse_osm(osm_xml(nodes, [(9, [1, 2, 3], {"highway": "residential"}),
+                                                  (5, [2, 3], {"highway": "residential"})])), store)
+        load_into_store(parse_osm(osm_xml(nodes, [(9, [1, 4], {"highway": "residential"})])), store)
+
+        def edges(way):
+            eid = store.find_element(ElementKind.Context, str(way), "road.way").id
+            return {int(store.get_element(r.object).name)
+                    for r in store.relations() if r.subject == eid and r.predicate == "hasNode"}
+
+        assert edges(9) == {1, 4}
+        assert edges(5) == {2, 3}  # a way not reloaded keeps its edges
+        assert store.stats().relation_count == 4
 
 
 class TestNextNodes:
@@ -217,3 +246,143 @@ class TestMapMatch:
                     assert got is None
                 else:
                     assert (got.way_id, got.segment_index, got.distance_m) == expected
+
+
+def full_scan_match(graph, lat, lon, threshold_m=MATCH_THRESHOLD_M):
+    """map_match as it was before the way-cell index: the inflated box of
+    every way is tested. Returns (way id, segment index, distance)."""
+    candidates = []
+    for way_id, way in graph.ways.items():
+        lats = [graph.nodes[n].lat for n in way.node_refs]
+        lons = [graph.nodes[n].lon for n in way.node_refs]
+        box = GeoBox(min(lats), min(lons), max(lats), max(lons))
+        if not box.inflate_m(MATCH_INFLATE_M).contains(lat, lon):
+            continue
+        for i, (a, b) in enumerate(zip(way.node_refs, way.node_refs[1:])):
+            na, nb = graph.nodes[a], graph.nodes[b]
+            ea = wgs84_to_enu(lat, lon, na.lat, na.lon, max_range_m=math.inf)
+            eb = wgs84_to_enu(lat, lon, nb.lat, nb.lon, max_range_m=math.inf)
+            proj = project_to_segment(EnuPoint(0.0, 0.0), ea, eb)
+            if proj.distance_m <= threshold_m:
+                candidates.append((proj.distance_m, way_id, i))
+    if not candidates:
+        return None
+    dmin = min(d for d, _, _ in candidates)
+    return min(((w, i, d) for d, w, i in candidates if d <= dmin + 1e-9), key=lambda t: (t[0], t[1]))
+
+
+def as_tuple(m):
+    return None if m is None else (m.way_id, m.segment_index, m.distance_m)
+
+
+# The equator, mid latitudes, 80 N, and both sides of the antimeridian.
+ORIGINS = [(0.0, 0.0), (BASE_LAT, BASE_LON), (80.0, 15.0), (-33.9, 151.2),
+           (0.0, 179.9995), (65.0, -179.999)]
+
+
+@st.composite
+def maps_and_points(draw):
+    lat0, lon0 = draw(st.sampled_from(ORIGINS))
+    nodes, ways = {}, {}
+    for way_id in range(1, draw(st.integers(1, 6)) + 1):
+        # Spans up to 20 km give ways over many cells, and near the pole
+        # or the antimeridian ways too wide for the cells.
+        span = draw(st.sampled_from([150.0, 3000.0, 20000.0]))
+        offsets = draw(st.lists(st.tuples(st.floats(-span, span), st.floats(-span, span)),
+                                min_size=2, max_size=5))
+        refs = []
+        for east, north in offsets:
+            lat, lon, _ = enu_to_wgs84(lat0, lon0, east, north, max_range_m=math.inf)
+            nodes[len(nodes) + 1] = RoadNode(len(nodes) + 1, lat, lon)
+            refs.append(len(nodes))
+        ways[way_id] = RoadWay(way_id, refs)
+    if draw(st.booleans()):
+        # A copy of a way under a lower id: every distance to it ties.
+        ways[0] = RoadWay(0, list(ways[draw(st.sampled_from(sorted(ways)))].node_refs))
+    graph = RoadGraph(nodes=nodes, ways=ways)
+    rebuild_adjacency(graph)
+
+    near_node = st.builds(
+        lambda n, east, north: enu_to_wgs84(n.lat, n.lon, east, north, max_range_m=math.inf)[:2],
+        st.sampled_from(list(nodes.values())), st.floats(-150.0, 150.0), st.floats(-150.0, 150.0))
+    off_map = st.builds(
+        lambda east, north: enu_to_wgs84(lat0, lon0, east, north, max_range_m=math.inf)[:2],
+        st.floats(-40000.0, 40000.0), st.floats(-40000.0, 40000.0))
+    def inflated_corner(way_id, upper):
+        # On the edge of the prefilter.
+        box = graph.way_bbox(way_id).inflate_m(MATCH_INFLATE_M)
+        return (box.max_lat, box.max_lon) if upper else (box.min_lat, box.min_lon)
+
+    corner = st.builds(inflated_corner, st.sampled_from(sorted(ways)), st.booleans())
+    on_cell_edge = near_node.map(lambda p: (math.floor(p[0] / CELL_DEG) * CELL_DEG,
+                                            math.floor(p[1] / CELL_DEG) * CELL_DEG))
+    points = draw(st.lists(st.one_of(near_node, off_map, corner, on_cell_edge), min_size=1, max_size=12))
+    threshold = draw(st.one_of(st.just(MATCH_THRESHOLD_M), st.floats(0.0, 300.0)))
+    return graph, points, threshold
+
+
+class TestWayCellIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(maps_and_points())
+    def test_indexed_match_equals_full_scan(self, case):
+        graph, points, threshold = case
+        for lat, lon in points:
+            assert as_tuple(map_match(graph, lat, lon, threshold_m=threshold)) == \
+                full_scan_match(graph, lat, lon, threshold)
+
+    def test_nan_coordinates_match_as_the_full_scan_does(self):
+        # parse_osm reads lat="nan", which gives way 10 a NaN box: no
+        # cell lists that way, and no cell holds a NaN position.
+        doc = osm_xml([(1, 0.0, 0.0), (2, float("nan"), 0.0), (3, 0.0, 0.0005), (4, 0.001, 0.0005)],
+                      [(10, [2, 1], {"highway": "residential"}), (11, [3, 4], {"highway": "residential"})])
+        graph = parse_osm(doc)
+        for lat, lon in ((0.0005, 0.0005), (0.0, 0.0), (float("nan"), 0.0005)):
+            assert as_tuple(map_match(graph, lat, lon)) == full_scan_match(graph, lat, lon)
+
+    def test_equals_full_scan_on_a_1056_segment_grid(self):
+        graph = grid_graph(blocks=12, spacing_m=150.0, segs_per_way=4)
+        rng = random.Random(11)
+        for _ in range(500):
+            lat, lon = offset_point(rng.uniform(-1100, 1100), rng.uniform(-1100, 1100))
+            assert as_tuple(map_match(graph, lat, lon)) == full_scan_match(graph, lat, lon)
+
+    def test_ways_tested_per_match_do_not_grow_with_the_map(self, monkeypatch):
+        tested = []
+        way_bbox = RoadGraph.way_bbox
+        monkeypatch.setattr(RoadGraph, "way_bbox", lambda g, w: tested.append(w) or way_bbox(g, w))
+        counts, matches = [], []
+        for blocks, n_ways in ((4, 24), (36, 2520)):
+            graph = grid_graph(blocks, spacing_m=400.0)
+            assert len(graph.ways) == n_ways
+            tested.clear()
+            # 5 m north of the middle of the block edge north of the centre.
+            matches.append(as_tuple(map_match(graph, *offset_point(0.0, 205.0))))
+            counts.append(len(tested))
+        assert counts[0] == counts[1] <= 30
+        assert matches[0] is not None and matches[0][1:] == matches[1][1:]
+
+
+def grid_graph(blocks, spacing_m, segs_per_way=1):
+    """A square street grid centred on the base point: one way per block
+    edge, split into segs_per_way segments."""
+    half = (blocks - 1) * spacing_m / 2.0
+    nodes, ways = {}, {}
+
+    def node(east, north):
+        nodes[len(nodes)] = RoadNode(len(nodes), *offset_point(east, north))
+        return len(nodes) - 1
+
+    corner = {(i, j): node(-half + j * spacing_m, -half + i * spacing_m)
+              for i in range(blocks) for j in range(blocks)}
+    for (i, j), a in corner.items():
+        for di, dj in ((0, 1), (1, 0)):
+            b = corner.get((i + di, j + dj))
+            if b is None:
+                continue
+            x0, y0 = -half + j * spacing_m, -half + i * spacing_m
+            inner = [node(x0 + dj * spacing_m * k / segs_per_way, y0 + di * spacing_m * k / segs_per_way)
+                     for k in range(1, segs_per_way)]
+            ways[len(ways)] = RoadWay(len(ways), [a, *inner, b])
+    graph = RoadGraph(nodes=nodes, ways=ways)
+    rebuild_adjacency(graph)
+    return graph

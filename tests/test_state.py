@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from conftest import chain_xml, random_scene
+import oracles
+from conftest import chain_xml, offset_point, random_osm, random_scene
 from ldm.api import LocalDynamicMap
 from ldm.errors import FileError
 from ldm.model import ElementKind, Relation
+from ldm.roadnet import map_match
 from ldm.state import SCENE_FILE, load_state, save_state
 
 T0 = 1_700_000_000_000_000
@@ -85,3 +89,24 @@ def test_failed_save_leaves_the_previous_state_whole(tmp_path, monkeypatch):
     back = load_state(tmp_path)
     assert [e.name for e in back.store.elements() if e.kind is ElementKind.Object] == ["a"]
     assert list(back.road_graph.ways.items()) == list(ldm.road_graph.ways.items())
+
+
+def test_second_load_map_and_reload_keep_the_match_index(tmp_path):
+    ldm = LocalDynamicMap()
+    ldm.load_map(chain_xml(n=5, spacing_m=400.0, way_id=7))
+    # Moves nodes 1-5 (so way 7) and adds ways 100-111.
+    ldm.load_map(random_osm(random.Random(4), n_ways=12, spread_m=1500.0))
+    save_state(ldm, tmp_path)
+    back = load_state(tmp_path)
+    rng = random.Random(5)
+    nodes = list(ldm.road_graph.nodes.values())
+    matched = 0
+    for _ in range(400):
+        node = rng.choice(nodes)
+        lat, lon = offset_point(rng.uniform(-80, 80), rng.uniform(-80, 80), node.lat, node.lon)
+        expected = oracles.match_point(ldm.road_graph, lat, lon)
+        for graph in (ldm.road_graph, back.road_graph):
+            m = map_match(graph, lat, lon)
+            assert (None if m is None else (m.way_id, m.segment_index, m.distance_m)) == expected
+        matched += expected is not None and expected[0] == 7
+    assert matched > 0

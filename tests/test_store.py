@@ -5,6 +5,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldm.errors import (
     AttributeOverlap,
@@ -155,6 +157,19 @@ class TestRelations:
         assert store.add_relation(Relation(a, "follows", b)) is True
         assert store.add_relation(Relation(a, "follows", b)) is False
 
+    def test_remove_reports_whether_the_edge_was_stored(self):
+        store = LdmStore()
+        a = store.upsert_element(element("a"))
+        b = store.upsert_element(element("b"))
+        store.add_relation(Relation(a, "near", b))
+        store.add_relation(Relation(b, "near", a))
+        assert store.remove_relation(Relation(a, "near", b)) is True
+        assert store.remove_relation(Relation(a, "near", b)) is False
+        assert store.relations() == [Relation(b, "near", a)]
+        # The remaining edge still cascades when its subject goes.
+        store.evict_expired(100 * US)
+        assert store.relations() == []
+
     def test_missing_endpoint(self):
         store = LdmStore()
         a = store.upsert_element(element("car-7"))
@@ -301,6 +316,49 @@ class TestSnapshot:
         snap = store.snapshot(5)
         assert snap.entries[0].frame is None
         assert snap.entries[0].element.id == eid
+
+
+class TestObjectsAt:
+    def test_latest_frame_per_object_only(self):
+        store = LdmStore()
+        car = store.upsert_element(element("car-7"))
+        store.upsert_element(element("road", layer=LdmLayer.L1_Static, kind=ElementKind.Context))
+        parked = store.upsert_element(element("car-8"))
+        store.insert_frame(rec(car, 10))
+        store.insert_frame(rec(car, 20))
+        entries = {e.element.id: e.frame for e in store.objects_at(15)}
+        assert entries == {car: rec(car, 10), parked: None}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["upsert", "merge", "frame", "evict", "restore"]),
+                              st.integers(0, 5), st.integers(0, 30)), max_size=40))
+    def test_equals_the_object_entries_of_snapshot(self, ops):
+        layers = [LdmLayer.L4_Dynamic, LdmLayer.L3_Transient, LdmLayer.L1_Static]
+        store = LdmStore(LdmConfig(ttl_per_layer={
+            LdmLayer.L1_Static: math.inf, LdmLayer.L2_QuasiStatic: 30.0,
+            LdmLayer.L3_Transient: 10.0, LdmLayer.L4_Dynamic: 4.0,
+        }))
+        pose = GeoPose(47.6, -122.3)
+        for n, (op, i, t) in enumerate(ops):
+            kind = ElementKind.Object if i % 2 else ElementKind.Context
+            name, layer, ts = f"e-{i}", layers[i % 3], t * US
+            if op == "upsert":
+                store.upsert_element(SceneElement(0, kind, name, "x", layer, {},
+                                                  {ts: FrameRecord(ts, 0, pose, {"v": t})}))
+            elif op == "merge":
+                store.upsert_element(SceneElement(0, kind, name, "x", layer, {f"s{t}": n}))
+            elif op == "frame":
+                live = store.elements()
+                if live:
+                    store.insert_frame(FrameRecord(ts, live[i % len(live)].id, pose, {"v": t}))
+            elif op == "evict":
+                store.evict_expired(ts)
+            else:
+                store.restore_element(SceneElement(1000 - n, kind, f"r-{n}", "x", layer, {"r": n},
+                                                   {ts: FrameRecord(ts, 1000 - n, pose)}))
+        for at in sorted({t * US for _, _, t in ops} | {-1, 1 << 62}):
+            got = sorted(store.objects_at(at), key=lambda e: e.element.id)
+            assert got == [e for e in store.snapshot(at).entries if e.element.kind is ElementKind.Object]
 
 
 class TestStats:
