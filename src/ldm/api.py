@@ -161,8 +161,13 @@ class LocalDynamicMap:
         ego_match = map_match(graph, ego_rec.pose.lat, ego_rec.pose.lon)
         if ego_match is None:
             return []
+        # map_match returns a way only for positions inside its match box,
+        # so objects outside the ego way's box cannot share its way.
+        box = graph.way_bbox(ego_match.way_id)
         rows = []
         for element, rec in self._object_states(at, exclude=ego):
+            if not box.contains(rec.pose.lat, rec.pose.lon):
+                continue
             m = map_match(graph, rec.pose.lat, rec.pose.lon)
             if m is not None and m.way_id == ego_match.way_id:
                 rows.append(self._report(element, rec, matched_way=m.way_id))
@@ -189,17 +194,19 @@ class LocalDynamicMap:
             raise ValueError(f"speed_eps must be >= 0, got {speed_eps}")
         window_us = int(window_s * 1e6)
         rows = []
-        for entry in self.store.objects_at(at):
-            # No frame in (at - window, at] if the latest one is older.
-            if entry.frame is None or entry.frame.timestamp <= at - window_us:
-                continue
-            element = entry.element
-            frames = self.store.query_frames(element.id, at - window_us + 1, at + 1)
-            if len(frames) < 2:
-                continue
-            if self._is_stationary(frames, speed_eps):
-                rec = frames[-1]
-                rows.append(self._report(element, rec))
+        # One read for the object list and every frame query, so an
+        # eviction pass cannot remove an object between them.
+        with self.store.read_lock():
+            for entry in self.store.objects_at(at):
+                # No frame in (at - window, at] if the latest one is older.
+                if entry.frame is None or entry.frame.timestamp <= at - window_us:
+                    continue
+                element = entry.element
+                frames = self.store.query_frames(element.id, at - window_us + 1, at + 1)
+                if len(frames) < 2:
+                    continue
+                if self._is_stationary(frames, speed_eps):
+                    rows.append(self._report(element, frames[-1]))
         rows.sort(key=lambda r: r.element_id)
         return rows
 

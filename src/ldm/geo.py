@@ -104,13 +104,26 @@ def wgs84_to_enu(
             raise OutOfLocalRange(
                 f"point {d:.0f} m from origin exceeds local range {max_range_m:.0f} m"
             )
-    north = EARTH_RADIUS_M * math.radians(lat - origin_lat)
-    east = (
-        EARTH_RADIUS_M
-        * math.radians(_wrap_deg(lon - origin_lon))
-        * math.cos(math.radians(origin_lat))
+    return enu_offset(origin_lat, origin_lon, math.cos(math.radians(origin_lat)), lat, lon,
+                      alt - origin_alt)
+
+
+def enu_offset(
+    origin_lat: float,
+    origin_lon: float,
+    cos_origin_lat: float,
+    lat: float,
+    lon: float,
+    up: float = 0.0,
+) -> EnuPoint:
+    """wgs84_to_enu's formula with cos(radians(origin_lat)) passed in and
+    no range check, for projecting many points into one frame:
+    east = (R*dlon)*cos_origin_lat, north = R*dlat."""
+    return EnuPoint(
+        EARTH_RADIUS_M * math.radians(_wrap_deg(lon - origin_lon)) * cos_origin_lat,
+        EARTH_RADIUS_M * math.radians(lat - origin_lat),
+        up,
     )
-    return EnuPoint(east, north, alt - origin_alt)
 
 
 def enu_to_wgs84(

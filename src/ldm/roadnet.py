@@ -21,15 +21,15 @@ from .geo import (
     EnuPoint,
     GeoBox,
     bearing_deg,
+    enu_offset,
     haversine_m,
     heading_delta_deg,
     project_to_segment,
-    wgs84_to_enu,
 )
 from .model import ElementKind, LdmLayer, Relation, SceneElement
 
-# Invented constants: candidate ways are prefiltered by a bounding box
-# inflated by MATCH_INFLATE_M, and a position further than
+# Invented constants: candidate ways are prefiltered by their match box
+# (bounding box inflated by MATCH_INFLATE_M), and a position further than
 # MATCH_THRESHOLD_M (a map_match parameter) from every segment is
 # reported as unmatched.
 MATCH_THRESHOLD_M = 50.0
@@ -88,6 +88,9 @@ class RoadGraph:
     _wide_ways: list[int] = field(default_factory=list, compare=False, repr=False)
 
     def way_bbox(self, way_id: int) -> GeoBox:
+        """The way's match box: the bounding box of its nodes inflated by
+        MATCH_INFLATE_M. map_match returns the way only for positions
+        inside it."""
         return self._bboxes[way_id]
 
     def ways_near(self, lat: float, lon: float) -> Iterable[int]:
@@ -192,8 +195,8 @@ def merge_graphs(base: RoadGraph, incoming: RoadGraph) -> RoadGraph:
 
 
 def rebuild_adjacency(graph: RoadGraph) -> None:
-    """Recompute adjacency (and segment lengths), the way boxes and the
-    way-cell index from nodes and ways."""
+    """Recompute adjacency (and segment lengths), the way match boxes and
+    the way-cell index from nodes and ways."""
     graph.adjacency = {node_id: [] for node_id in graph.nodes}
     graph._bboxes, graph._cells, graph._wide_ways = {}, {}, []
     for way in graph.ways.values():
@@ -206,8 +209,9 @@ def rebuild_adjacency(graph: RoadGraph) -> None:
                 graph.adjacency[b].append((a, way.osm_id, length))
         lats = [p.lat for p in pts]
         lons = [p.lon for p in pts]
-        box = graph._bboxes[way.osm_id] = GeoBox(min(lats), min(lons), max(lats), max(lons))
-        _index_way(graph, way.osm_id, box.inflate_m(MATCH_INFLATE_M))
+        box = GeoBox(min(lats), min(lons), max(lats), max(lons)).inflate_m(MATCH_INFLATE_M)
+        graph._bboxes[way.osm_id] = box
+        _index_way(graph, way.osm_id, box)
 
 
 def _cell(lat: float, lon: float) -> tuple[int, int]:
@@ -307,22 +311,28 @@ def map_match(
 ) -> Optional[MatchResult]:
     """Snap a position to the nearest road segment.
 
-    Candidate ways are those whose bounding box, inflated by
-    MATCH_INFLATE_M, contains the position; the way-cell index lists
-    them without visiting the rest of the map. Returns None when every
-    segment is further than threshold_m. Near-ties (within 1e-9 m)
-    resolve to the lower (way id, segment index).
+    Candidate ways are those whose match box (way_bbox) contains the
+    position; the way-cell index lists them without visiting the rest of
+    the map. Segments are measured in the position's ENU frame, as
+    wgs84_to_enu computes it. Returns None when every segment is further
+    than threshold_m. Near-ties (within 1e-9 m) resolve to the lower
+    (way id, segment index).
     """
     candidates: list[tuple[float, int, int]] = []
+    origin = EnuPoint(0.0, 0.0)
+    cos_lat = None
+    nodes = graph.nodes
     for way_id in graph.ways_near(lat, lon):
-        if not graph.way_bbox(way_id).inflate_m(MATCH_INFLATE_M).contains(lat, lon):
+        if not graph.way_bbox(way_id).contains(lat, lon):
             continue
-        way = graph.ways[way_id]
-        for i, (a, b) in enumerate(zip(way.node_refs, way.node_refs[1:])):
-            na, nb = graph.nodes[a], graph.nodes[b]
-            ea = wgs84_to_enu(lat, lon, na.lat, na.lon, max_range_m=math.inf)
-            eb = wgs84_to_enu(lat, lon, nb.lat, nb.lon, max_range_m=math.inf)
-            proj = project_to_segment(EnuPoint(0.0, 0.0), ea, eb)
+        if cos_lat is None:
+            # Only once a box holds the position: cos raises on an
+            # infinite latitude.
+            cos_lat = math.cos(math.radians(lat))
+        pts = [enu_offset(lat, lon, cos_lat, n.lat, n.lon)
+               for n in map(nodes.__getitem__, graph.ways[way_id].node_refs)]
+        for i, (ea, eb) in enumerate(zip(pts, pts[1:])):
+            proj = project_to_segment(origin, ea, eb)
             if proj.distance_m <= threshold_m:
                 candidates.append((proj.distance_m, way_id, i))
     if not candidates:

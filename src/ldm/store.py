@@ -122,11 +122,19 @@ class Snapshot:
     relations: list[Relation]
 
 
+class _ReadHolds(threading.local):
+    """How many read holds the current thread has on one RWLock."""
+
+    count = 0
+
+
 class RWLock:
     """Writer-preferring reader/writer lock, reentrant per thread.
 
-    A thread holding the write side may take either side again; read
-    holders must not upgrade to write (that would deadlock).
+    A thread holding either side takes the read side again at once, even
+    while a writer waits; a thread holding the write side may take the
+    write side again too. Read holders must not upgrade to write (that
+    would deadlock).
     """
 
     def __init__(self):
@@ -135,8 +143,13 @@ class RWLock:
         self._writer: Optional[int] = None
         self._depth = 0
         self._waiting_writers = 0
+        self._held = _ReadHolds()
 
     def acquire_read(self):
+        held = self._held
+        if held.count:
+            held.count += 1
+            return
         me = threading.get_ident()
         with self._cond:
             if self._writer == me:
@@ -145,13 +158,18 @@ class RWLock:
             while self._writer is not None or self._waiting_writers:
                 self._cond.wait()
             self._readers += 1
+        held.count = 1
 
     def release_read(self):
-        me = threading.get_ident()
+        held = self._held
+        if held.count > 1:
+            held.count -= 1
+            return
         with self._cond:
-            if self._writer == me:
+            if not held.count:  # a read taken inside the write side
                 self._depth -= 1
                 return
+            held.count = 0
             self._readers -= 1
             if self._readers == 0:
                 self._cond.notify_all()

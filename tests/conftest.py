@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ldm.geo import enu_to_wgs84
+from ldm.roadnet import RoadGraph, RoadNode, RoadWay, rebuild_adjacency
 
 BASE_LAT = 47.6000
 BASE_LON = -122.3000
@@ -43,6 +44,32 @@ def chain_xml(n=5, spacing_m=100.0, way_id=1, oneway=False):
     if oneway:
         tags["oneway"] = "yes"
     return osm_xml(nodes, [(way_id, [i + 1 for i in range(n)], tags)])
+
+
+def grid_graph(blocks, spacing_m, segs_per_way=1):
+    """A square street grid centred on the base point: one way per block
+    edge, split into segs_per_way segments."""
+    half = (blocks - 1) * spacing_m / 2.0
+    nodes, ways = {}, {}
+
+    def node(east, north):
+        nodes[len(nodes)] = RoadNode(len(nodes), *offset_point(east, north))
+        return len(nodes) - 1
+
+    corner = {(i, j): node(-half + j * spacing_m, -half + i * spacing_m)
+              for i in range(blocks) for j in range(blocks)}
+    for (i, j), a in corner.items():
+        for di, dj in ((0, 1), (1, 0)):
+            b = corner.get((i + di, j + dj))
+            if b is None:
+                continue
+            x0, y0 = -half + j * spacing_m, -half + i * spacing_m
+            inner = [node(x0 + dj * spacing_m * k / segs_per_way, y0 + di * spacing_m * k / segs_per_way)
+                     for k in range(1, segs_per_way)]
+            ways[len(ways)] = RoadWay(len(ways), [a, *inner, b])
+    graph = RoadGraph(nodes=nodes, ways=ways)
+    rebuild_adjacency(graph)
+    return graph
 
 
 def random_osm(rng: random.Random, n_ways=20, max_nodes_per_way=6, spread_m=4000.0):

@@ -1,14 +1,23 @@
 import json
+import math
+import random
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import chain_xml, offset_point, random_scene
+from conftest import BASE_LAT, BASE_LON, chain_xml, grid_graph, offset_point, random_scene
+from ldm import api
 from ldm.api import LocalDynamicMap
 from ldm.errors import InvalidConfig, NoMap, NoPose, UnknownElement, UnknownNode, Unmatched
+from ldm.geo import enu_to_wgs84
 from ldm.ingest import parse_openlabel
-from ldm.model import ElementKind
-from ldm.store import LdmConfig
+from ldm.model import ElementKind, FrameRecord, GeoPose, LdmLayer, SceneElement
+from ldm.roadnet import RoadGraph, RoadNode, RoadWay, map_match, rebuild_adjacency
+from ldm.store import LdmConfig, SnapshotEntry
 
 T0 = 1_700_000_000_000_000
 
@@ -155,6 +164,110 @@ class TestObjectsOnSameWay:
             ldm.objects_on_same_way(eid_of(ldm, "ego"), T0)
 
 
+def positions_doc(positions):
+    """One frame at T0 with object "o<i>" at the i-th (lat, lon)."""
+    root = {"metadata": {}, "objects": {}, "frames": {"0": {"timestamp": T0, "objects": {}}}}
+    for uid, (lat, lon) in enumerate(positions):
+        root["objects"][str(uid)] = {"name": f"o{uid}", "type": "vehicle.car"}
+        root["frames"]["0"]["objects"][str(uid)] = {"pose": {"lat": lat, "lon": lon}}
+    return {"openlabel": root}
+
+
+# Mid latitudes, and 80 N with 20 km ways: their match boxes span too
+# many cells for the way-cell index, so they are "wide" ways, tested for
+# every position. (Near the antimeridian map_match and the oracle differ
+# already, because match boxes do not wrap.)
+SCENES = {"mid": ((BASE_LAT, BASE_LON), (150.0, 3000.0)),
+          "pole": ((80.0, 15.0), (20000.0,))}
+
+
+@st.composite
+def same_way_scenes(draw):
+    """A road graph, the ego position and object positions around it."""
+    (lat0, lon0), spans = SCENES[draw(st.sampled_from(sorted(SCENES)))]
+    nodes, ways = {}, {}
+    for way_id in range(1, draw(st.integers(1, 5)) + 1):
+        span = draw(st.sampled_from(spans))
+        offsets = draw(st.lists(st.tuples(st.floats(-span, span), st.floats(-span, span)),
+                                min_size=2, max_size=5))
+        refs = []
+        for east, north in offsets:
+            lat, lon, _ = enu_to_wgs84(lat0, lon0, east, north, max_range_m=math.inf)
+            nodes[len(nodes) + 1] = RoadNode(len(nodes) + 1, lat, lon)
+            refs.append(len(nodes))
+        ways[way_id] = RoadWay(way_id, refs)
+    graph = RoadGraph(nodes=nodes, ways=ways)
+    rebuild_adjacency(graph)
+
+    near_node = st.builds(
+        lambda n, east, north: enu_to_wgs84(n.lat, n.lon, east, north, max_range_m=math.inf)[:2],
+        st.sampled_from(list(nodes.values())), st.floats(-80.0, 80.0), st.floats(-80.0, 80.0))
+    off_map = st.builds(
+        lambda east, north: enu_to_wgs84(lat0, lon0, east, north, max_range_m=math.inf)[:2],
+        st.floats(-30000.0, 30000.0), st.floats(-30000.0, 30000.0))
+
+    def corner(way_id, upper_lat, upper_lon, outside):
+        # A corner of the way's match box, or the next float outside it.
+        box = graph.way_bbox(way_id)
+        lat, lon = (box.max_lat if upper_lat else box.min_lat), (box.max_lon if upper_lon else box.min_lon)
+        if outside:
+            lat = math.nextafter(lat, math.inf if upper_lat else -math.inf)
+            lon = math.nextafter(lon, math.inf if upper_lon else -math.inf)
+        return lat, lon
+
+    corners = st.builds(corner, st.sampled_from(sorted(ways)), st.booleans(), st.booleans(), st.booleans())
+    ego = draw(st.one_of(near_node, off_map))
+    others = draw(st.lists(st.one_of(near_node, off_map, corners), max_size=12))
+    return graph, ego, others
+
+
+class TestSameWayPrefilter:
+    @settings(max_examples=200, deadline=None)
+    @given(same_way_scenes(), st.booleans())
+    def test_equals_the_oracle(self, case, with_nan_poses):
+        graph, ego_pos, others = case
+        ldm = LocalDynamicMap()
+        ldm.road_graph = graph
+        ldm.add_objects(positions_doc([ego_pos, *others]))
+        ego = eid_of(ldm, "o0")
+        expected = oracles.objects_on_same_way(ldm.store, graph, ego, T0)
+        if with_nan_poses:
+            # The store rejects NaN positions, so add them after its read:
+            # they fail the box test as they fail inside map_match.
+            objects_at = ldm.store.objects_at
+            ghosts = [SnapshotEntry(SceneElement(10_000 + i, ElementKind.Object, f"nan{i}", "vehicle.car",
+                                                 LdmLayer.L4_Dynamic),
+                                    FrameRecord(T0, 10_000 + i, GeoPose(lat, lon)))
+                      for i, (lat, lon) in enumerate(((math.nan, ego_pos[1]), (ego_pos[0], math.nan)))]
+            ldm.store.objects_at = lambda at: objects_at(at) + ghosts
+        assert [r.element_id for r in ldm.objects_on_same_way(ego, T0)] == expected
+
+    def test_matches_only_objects_in_the_ego_way_box(self, monkeypatch):
+        # 2,520 ways; 300 objects spread over the whole grid and 10 along
+        # the ego's way.
+        graph = grid_graph(36, spacing_m=400.0)
+        assert len(graph.ways) == 2520
+        rng = random.Random(3)
+        ego_pos = offset_point(0.0, 205.0)
+        positions = [ego_pos] + [offset_point(rng.uniform(-7000, 7000), rng.uniform(-7000, 7000))
+                                 for _ in range(300)]
+        positions += [offset_point(rng.uniform(-195, 195), rng.uniform(195, 215)) for _ in range(10)]
+        ldm = LocalDynamicMap()
+        ldm.road_graph = graph
+        ldm.add_objects(positions_doc(positions))
+        ego_way = map_match(graph, *ego_pos).way_id
+        box = graph.way_bbox(ego_way)
+        inside = sum(box.contains(lat, lon) for lat, lon in positions[1:])
+        expected = sorted(eid_of(ldm, f"o{i}") for i, p in enumerate(positions)
+                          if i and getattr(map_match(graph, *p), "way_id", None) == ego_way)
+
+        calls = []
+        monkeypatch.setattr(api, "map_match", lambda g, lat, lon: calls.append(1) or map_match(g, lat, lon))
+        got = [r.element_id for r in ldm.objects_on_same_way(eid_of(ldm, "o0"), T0)]
+        assert got == expected and len(got) >= 10
+        assert len(calls) <= 1 + inside < 30
+
+
 class TestStationaryObjects:
     def test_slow_object_included(self):
         track = [(T0 + i * 1_000_000, 0.0, 0.0, None, s) for i, s in enumerate((0.0, 0.0, 0.1))]
@@ -201,6 +314,46 @@ class TestStationaryObjects:
         at = T0 + 30 * 100_000
         got = [r.element_id for r in ldm.stationary_objects(at, 3.0, 5.0)]
         assert got == oracles.stationary_objects(ldm.store, at, 3.0, 5.0)
+
+    def test_eviction_started_mid_query_waits_for_it(self, monkeypatch):
+        # The eviction pass starts right after the object list is read and
+        # drops every object; the query must still see each of them.
+        track = [(T0 + i * 1_000_000, 0.0, 0.0, None, 0.0) for i in range(3)]
+        ldm = LocalDynamicMap()
+        ldm.add_objects(scene_with({"parked": track, "kerb": track}))
+        at = T0 + 2_000_000
+        expected = [(r.element_id, r.timestamp) for r in ldm.stationary_objects(at)]
+        assert len(expected) == 2
+
+        store, events = ldm.store, []
+        objects_at, query_frames = store.objects_at, store.query_frames
+
+        def evict():
+            events.append(("evicted", store.evict_expired(at + 3600 * 1_000_000)))
+
+        evictor = threading.Thread(target=evict, daemon=True)
+
+        def objects_at_then_evict(t):
+            out = objects_at(t)
+            evictor.start()
+            deadline = time.monotonic() + 10
+            while not store._lock._waiting_writers and evictor.is_alive() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return out
+
+        def logged_query_frames(*args):
+            events.append(("query_frames", args[0]))
+            return query_frames(*args)
+
+        monkeypatch.setattr(store, "objects_at", objects_at_then_evict)
+        monkeypatch.setattr(store, "query_frames", logged_query_frames)
+        got = [(r.element_id, r.timestamp) for r in ldm.stationary_objects(at)]
+        evictor.join(timeout=10)
+        assert not evictor.is_alive()
+        assert got == expected
+        assert [name for name, _ in events] == ["query_frames", "query_frames", "evicted"]
+        assert events[-1][1] == 6
+        assert store.stats().element_count_per_layer == {}
 
 
 class TestNextRoadNodes:

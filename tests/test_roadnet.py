@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BASE_LAT, BASE_LON, chain_xml, offset_point, osm_xml, random_osm
+from conftest import BASE_LAT, BASE_LON, chain_xml, grid_graph, offset_point, osm_xml, random_osm
 from ldm.errors import MalformedDocument, UnknownNode
 from ldm.geo import EnuPoint, GeoBox, enu_to_wgs84, haversine_m, project_to_segment, wgs84_to_enu
 from ldm.model import ElementKind, LdmLayer
@@ -248,15 +248,20 @@ class TestMapMatch:
                     assert (got.way_id, got.segment_index, got.distance_m) == expected
 
 
+def match_box(graph, way_id):
+    """A way's bounding box, from its nodes, inflated by MATCH_INFLATE_M."""
+    way = graph.ways[way_id]
+    lats = [graph.nodes[n].lat for n in way.node_refs]
+    lons = [graph.nodes[n].lon for n in way.node_refs]
+    return GeoBox(min(lats), min(lons), max(lats), max(lons)).inflate_m(MATCH_INFLATE_M)
+
+
 def full_scan_match(graph, lat, lon, threshold_m=MATCH_THRESHOLD_M):
     """map_match as it was before the way-cell index: the inflated box of
     every way is tested. Returns (way id, segment index, distance)."""
     candidates = []
     for way_id, way in graph.ways.items():
-        lats = [graph.nodes[n].lat for n in way.node_refs]
-        lons = [graph.nodes[n].lon for n in way.node_refs]
-        box = GeoBox(min(lats), min(lons), max(lats), max(lons))
-        if not box.inflate_m(MATCH_INFLATE_M).contains(lat, lon):
+        if not match_box(graph, way_id).contains(lat, lon):
             continue
         for i, (a, b) in enumerate(zip(way.node_refs, way.node_refs[1:])):
             na, nb = graph.nodes[a], graph.nodes[b]
@@ -309,8 +314,8 @@ def maps_and_points(draw):
         lambda east, north: enu_to_wgs84(lat0, lon0, east, north, max_range_m=math.inf)[:2],
         st.floats(-40000.0, 40000.0), st.floats(-40000.0, 40000.0))
     def inflated_corner(way_id, upper):
-        # On the edge of the prefilter.
-        box = graph.way_bbox(way_id).inflate_m(MATCH_INFLATE_M)
+        # On the edge of the prefilter: way_bbox is the inflated box.
+        box = graph.way_bbox(way_id)
         return (box.max_lat, box.max_lon) if upper else (box.min_lat, box.min_lon)
 
     corner = st.builds(inflated_corner, st.sampled_from(sorted(ways)), st.booleans())
@@ -326,6 +331,7 @@ class TestWayCellIndex:
     @given(maps_and_points())
     def test_indexed_match_equals_full_scan(self, case):
         graph, points, threshold = case
+        assert all(graph.way_bbox(w) == match_box(graph, w) for w in graph.ways)
         for lat, lon in points:
             assert as_tuple(map_match(graph, lat, lon, threshold_m=threshold)) == \
                 full_scan_match(graph, lat, lon, threshold)
@@ -361,28 +367,3 @@ class TestWayCellIndex:
         assert counts[0] == counts[1] <= 30
         assert matches[0] is not None and matches[0][1:] == matches[1][1:]
 
-
-def grid_graph(blocks, spacing_m, segs_per_way=1):
-    """A square street grid centred on the base point: one way per block
-    edge, split into segs_per_way segments."""
-    half = (blocks - 1) * spacing_m / 2.0
-    nodes, ways = {}, {}
-
-    def node(east, north):
-        nodes[len(nodes)] = RoadNode(len(nodes), *offset_point(east, north))
-        return len(nodes) - 1
-
-    corner = {(i, j): node(-half + j * spacing_m, -half + i * spacing_m)
-              for i in range(blocks) for j in range(blocks)}
-    for (i, j), a in corner.items():
-        for di, dj in ((0, 1), (1, 0)):
-            b = corner.get((i + di, j + dj))
-            if b is None:
-                continue
-            x0, y0 = -half + j * spacing_m, -half + i * spacing_m
-            inner = [node(x0 + dj * spacing_m * k / segs_per_way, y0 + di * spacing_m * k / segs_per_way)
-                     for k in range(1, segs_per_way)]
-            ways[len(ways)] = RoadWay(len(ways), [a, *inner, b])
-    graph = RoadGraph(nodes=nodes, ways=ways)
-    rebuild_adjacency(graph)
-    return graph

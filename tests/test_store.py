@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import sys
 import threading
 import time
 
@@ -526,15 +527,68 @@ class TestLocking:
         def reader():
             try:
                 for _ in range(200):
-                    store.snapshot(10_000)
-                    store.stats()
+                    # Nested reads under one hold see one store state.
+                    with store.read_lock():
+                        frames = len(store.query_frames(eid, 0, 1 << 62))
+                        store.snapshot(10_000)
+                        assert store.stats().frame_count == frames
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
-        threads = [threading.Thread(target=writer)] + [threading.Thread(target=reader) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
+        threads = [threading.Thread(target=f, daemon=True) for f in (writer, reader, reader, reader)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         assert len(store.query_frames(eid, 0, 1 << 62)) == 200
+
+    def test_nested_read_returns_while_a_writer_waits(self):
+        # Thread "a" holds the read side, a writer queues behind it, then
+        # "a" reads again: that read must not wait for the writer, which
+        # waits for "a". A reader that arrives after the writer still
+        # waits for it.
+        store = LdmStore()
+        eid = store.upsert_element(element("car-7"))
+        store.insert_frame(rec(eid, 100))
+        order = []
+        holding = threading.Event()
+
+        def writer_queued():
+            deadline = time.monotonic() + 10
+            while store._lock._waiting_writers == 0 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return store._lock._waiting_writers == 1
+
+        def reader_a():
+            with store.read_lock():
+                holding.set()
+                if writer_queued():
+                    store.stats()
+                    order.append("a nested read")
+
+        def writer():
+            holding.wait(10)
+            store.evict_expired(100 + 3600 * US)
+            order.append("write")
+
+        def reader_b():
+            store.stats()
+            order.append("b read")
+
+        a, w, b = (threading.Thread(target=f, daemon=True) for f in (reader_a, writer, reader_b))
+        a.start()
+        w.start()
+        assert writer_queued()
+        b.start()
+        for t in (a, w, b):
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in (a, w, b))
+        assert order == ["a nested read", "write", "b read"]
