@@ -161,12 +161,12 @@ class LocalDynamicMap:
         ego_match = map_match(graph, ego_rec.pose.lat, ego_rec.pose.lon)
         if ego_match is None:
             return []
-        # map_match returns a way only for positions inside its match box,
-        # so objects outside the ego way's box cannot share its way.
-        box = graph.way_bbox(ego_match.way_id)
+        # map_match returns a way that is not wide only for positions inside
+        # its match box, so objects outside that box cannot share its way.
+        box = None if graph.is_wide(ego_match.way_id) else graph.way_bbox(ego_match.way_id)
         rows = []
         for element, rec in self._object_states(at, exclude=ego):
-            if not box.contains(rec.pose.lat, rec.pose.lon):
+            if box is not None and not box.contains(rec.pose.lat, rec.pose.lon):
                 continue
             m = map_match(graph, rec.pose.lat, rec.pose.lon)
             if m is not None and m.way_id == ego_match.way_id:
@@ -199,7 +199,12 @@ class LocalDynamicMap:
         with self.store.read_lock():
             for entry in self.store.objects_at(at):
                 # No frame in (at - window, at] if the latest one is older.
-                if entry.frame is None or entry.frame.timestamp <= at - window_us:
+                if entry.frame.timestamp <= at - window_us:
+                    continue
+                # The latest frame is in the window, so a pose speed above
+                # eps on it rules the object out, as in _is_stationary.
+                pose = entry.frame.pose
+                if pose is not None and pose.speed is not None and pose.speed > speed_eps:
                     continue
                 element = entry.element
                 frames = self.store.query_frames(element.id, at - window_us + 1, at + 1)
@@ -252,11 +257,14 @@ class LocalDynamicMap:
     def _heading_of(self, ego: ElementId, rec: FrameRecord) -> float:
         if rec.pose.heading is not None:
             return rec.pose.heading
-        # No heading on the pose: derive one from the previous positioned frame.
-        earlier = self.store.query_frames(ego, 0, rec.timestamp)
-        for prev in reversed(earlier):
-            if prev.pose is not None:
-                return bearing_deg(prev.pose.lat, prev.pose.lon, rec.pose.lat, rec.pose.lon)
+        # No heading on the pose: derive one from the previous positioned
+        # frame, walking back one frame at a time.
+        with self.store.read_lock():
+            prev = self.store.latest_frame(ego, rec.timestamp - 1)
+            while prev is not None and prev.pose is None:
+                prev = self.store.latest_frame(ego, prev.timestamp - 1)
+        if prev is not None:
+            return bearing_deg(prev.pose.lat, prev.pose.lon, rec.pose.lat, rec.pose.lon)
         raise NoPose(f"element {ego} has no heading and no prior pose to derive one")
 
     def objects_near_node(self, node_id: int, radius_m: float, at: Timestamp) -> list[ObjectReport]:
@@ -343,10 +351,7 @@ class LocalDynamicMap:
             latest_count = 0
             if stats.frame_range is not None:
                 hi = stats.frame_range[1]
-                latest_count = sum(
-                    1 for entry in self.store.objects_at(hi)
-                    if entry.frame is not None and entry.frame.timestamp == hi
-                )
+                latest_count = sum(1 for entry in self.store.objects_at(hi) if entry.frame.timestamp == hi)
             fields: list[tuple[str, object]] = [
                 ("elements.total", sum(per_layer.values())),
             ]
@@ -381,18 +386,18 @@ class LocalDynamicMap:
     def _object_states(self, at: Timestamp, exclude: Optional[ElementId] = None):
         """(element, latest positioned frame <= at) for every object."""
         for entry in self.store.objects_at(at):
-            if entry.element.id == exclude or entry.frame is None or entry.frame.pose is None:
+            if entry.element.id == exclude or entry.frame.pose is None:
                 continue
             yield entry.element, entry.frame
 
     @staticmethod
-    def _report(element: SceneElement, rec: Optional[FrameRecord], **extra) -> ObjectReport:
+    def _report(element: SceneElement, rec: FrameRecord, **extra) -> ObjectReport:
         return ObjectReport(
             element_id=element.id,
             name=element.name,
             semantic_type=element.semantic_type,
             layer=element.layer,
-            pose=rec.pose if rec is not None else None,
-            timestamp=rec.timestamp if rec is not None else None,
+            pose=rec.pose,
+            timestamp=rec.timestamp,
             **extra,
         )

@@ -622,14 +622,18 @@ class LdmStore:
             return Snapshot(at, entries, list(self._relations.values()))
 
     def objects_at(self, at: Timestamp) -> list[SnapshotEntry]:
-        """Every Object-kind element with its latest frame at or before
-        `at` (None if it has none): the Object entries of snapshot(at),
-        in no set order and without the relations."""
+        """Every Object-kind element that has a frame at or before `at`,
+        with the latest such frame: the Object entries of snapshot(at)
+        whose frame is not None, in no set order and without the
+        relations."""
         with self._lock.read():
             out = []
             for entry in self._objects.values():
-                pos = bisect_right(entry.times, at)
-                out.append(SnapshotEntry(entry.element, entry.frames[entry.times[pos - 1]] if pos else None))
+                times = entry.times
+                if not times or times[0] > at:
+                    continue
+                ts = times[-1] if times[-1] <= at else times[bisect_right(times, at) - 1]
+                out.append(SnapshotEntry(entry.element, entry.frames[ts]))
             return out
 
     def stats(self) -> StoreStats:

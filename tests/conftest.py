@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ldm.geo import enu_to_wgs84
+from ldm.geo import enu_to_wgs84, wgs84_to_enu
 from ldm.roadnet import RoadGraph, RoadNode, RoadWay, rebuild_adjacency
 
 BASE_LAT = 47.6000
@@ -16,6 +16,16 @@ def offset_point(east_m, north_m, lat=BASE_LAT, lon=BASE_LON):
     """WGS84 position east_m/north_m meters from the reference point."""
     rlat, rlon, _ = enu_to_wgs84(lat, lon, east_m, north_m, max_range_m=math.inf)
     return rlat, rlon
+
+
+def beside_segment(graph, way_id, index, t, east_m, north_m):
+    """The point a fraction t along segment `index` of the way, moved
+    east_m/north_m meters, all in the ENU frame of the segment's first
+    node (so it works across the antimeridian)."""
+    refs = graph.ways[way_id].node_refs
+    a, b = graph.nodes[refs[index]], graph.nodes[refs[index + 1]]
+    ab = wgs84_to_enu(a.lat, a.lon, b.lat, b.lon, max_range_m=math.inf)
+    return enu_to_wgs84(a.lat, a.lon, t * ab.east + east_m, t * ab.north + north_m, max_range_m=math.inf)[:2]
 
 
 def osm_xml(nodes, ways):
@@ -72,8 +82,10 @@ def grid_graph(blocks, spacing_m, segs_per_way=1):
     return graph
 
 
-def random_osm(rng: random.Random, n_ways=20, max_nodes_per_way=6, spread_m=4000.0):
-    """Random synthetic road network around the base point."""
+def random_osm(rng: random.Random, n_ways=20, max_nodes_per_way=6, spread_m=4000.0,
+               origin=(BASE_LAT, BASE_LON)):
+    """Random synthetic road network around origin (the base point by
+    default)."""
     nodes = []
     ways = []
     nid = 1
@@ -88,7 +100,7 @@ def random_osm(rng: random.Random, n_ways=20, max_nodes_per_way=6, spread_m=4000
             cx += step * math.sin(heading)
             cy += step * math.cos(heading)
             heading += rng.uniform(-0.6, 0.6)
-            lat, lon = offset_point(cx, cy)
+            lat, lon = offset_point(cx, cy, *origin)
             nodes.append((nid, lat, lon))
             refs.append(nid)
             nid += 1

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BASE_LAT, BASE_LON, chain_xml, grid_graph, offset_point, random_scene
+from conftest import BASE_LAT, BASE_LON, beside_segment, chain_xml, grid_graph, offset_point, random_scene
 from ldm import api
-from ldm.api import LocalDynamicMap
+from ldm.api import STATIONARY_SPEED_EPS, STATIONARY_WINDOW_S, LocalDynamicMap
 from ldm.errors import InvalidConfig, NoMap, NoPose, UnknownElement, UnknownNode, Unmatched
 from ldm.geo import enu_to_wgs84
 from ldm.ingest import parse_openlabel
@@ -33,13 +33,16 @@ def scene_with(objects):
     for uid, (name, track) in enumerate(objects.items()):
         root["objects"][str(uid)] = {"name": name, "type": "vehicle.car"}
         for ts, east, north, heading, speed in track:
+            entry = root["frames"][str(frame_of[ts])]["objects"][str(uid)] = {}
+            if east is None:  # a frame without a pose
+                continue
             lat, lon = offset_point(east, north)
             pose = {"lat": lat, "lon": lon}
             if heading is not None:
                 pose["heading"] = heading
             if speed is not None:
                 pose["speed"] = speed
-            root["frames"][str(frame_of[ts])]["objects"][str(uid)] = {"pose": pose}
+            entry["pose"] = pose
     return doc
 
 
@@ -173,12 +176,14 @@ def positions_doc(positions):
     return {"openlabel": root}
 
 
-# Mid latitudes, and 80 N with 20 km ways: their match boxes span too
-# many cells for the way-cell index, so they are "wide" ways, tested for
-# every position. (Near the antimeridian map_match and the oracle differ
-# already, because match boxes do not wrap.)
+# Mid latitudes; 80 N with 20 km ways, whose match boxes span too many
+# cells for the way-cell index; and both sides of the antimeridian, where
+# match boxes reach past +-180 degrees and do not wrap. The last two give
+# "wide" ways, tested for every position without their box.
 SCENES = {"mid": ((BASE_LAT, BASE_LON), (150.0, 3000.0)),
-          "pole": ((80.0, 15.0), (20000.0,))}
+          "pole": ((80.0, 15.0), (20000.0,)),
+          "antimeridian": ((0.0, 179.9995), (150.0, 3000.0)),
+          "antimeridian-65n": ((65.0, -179.999), (150.0, 3000.0))}
 
 
 @st.composite
@@ -213,11 +218,17 @@ def same_way_scenes(draw):
         if outside:
             lat = math.nextafter(lat, math.inf if upper_lat else -math.inf)
             lon = math.nextafter(lon, math.inf if upper_lon else -math.inf)
+        if not -180.0 <= lon < 180.0:  # a box past the antimeridian
+            lon = (lon + 180.0) % 360.0 - 180.0
         return lat, lon
 
     corners = st.builds(corner, st.sampled_from(sorted(ways)), st.booleans(), st.booleans(), st.booleans())
-    ego = draw(st.one_of(near_node, off_map))
-    others = draw(st.lists(st.one_of(near_node, off_map, corners), max_size=12))
+    segments = [(w, i) for w, way in sorted(ways.items()) for i in range(len(way.node_refs) - 1)]
+    beside = st.builds(lambda seg, t, east, north: beside_segment(graph, *seg, t, east, north),
+                       st.sampled_from(segments), st.floats(0.0, 1.0),
+                       st.floats(-60.0, 60.0), st.floats(-60.0, 60.0))
+    ego = draw(st.one_of(near_node, off_map, beside))
+    others = draw(st.lists(st.one_of(near_node, off_map, corners, beside), max_size=12))
     return graph, ego, others
 
 
@@ -241,6 +252,18 @@ class TestSameWayPrefilter:
                       for i, (lat, lon) in enumerate(((math.nan, ego_pos[1]), (ego_pos[0], math.nan)))]
             ldm.store.objects_at = lambda at: objects_at(at) + ghosts
         assert [r.element_id for r in ldm.objects_on_same_way(ego, T0)] == expected
+
+    def test_across_the_antimeridian(self):
+        # Both positions lie 11 m from the way, outside its match box,
+        # which spans lon [-179.9909, 179.9909] and does not wrap.
+        graph = RoadGraph(nodes={1: RoadNode(1, 0.0, 179.99), 2: RoadNode(2, 0.0, -179.99)},
+                          ways={5: RoadWay(5, [1, 2])})
+        rebuild_adjacency(graph)
+        ldm = LocalDynamicMap()
+        ldm.road_graph = graph
+        ldm.add_objects(positions_doc([(0.0001, 179.999), (0.0001, -179.999)]))
+        rows = ldm.objects_on_same_way(eid_of(ldm, "o0"), T0)
+        assert [(r.element_id, r.matched_way) for r in rows] == [(eid_of(ldm, "o1"), 5)]
 
     def test_matches_only_objects_in_the_ego_way_box(self, monkeypatch):
         # 2,520 ways; 300 objects spread over the whole grid and 10 along
@@ -266,6 +289,31 @@ class TestSameWayPrefilter:
         got = [r.element_id for r in ldm.objects_on_same_way(eid_of(ldm, "o0"), T0)]
         assert got == expected and len(got) >= 10
         assert len(calls) <= 1 + inside < 30
+
+
+@st.composite
+def stationary_scenes(draw):
+    """Tracks over 8 one-second steps: per frame a missing pose, or a
+    pose that moves 0, 0.3 or 5 m from the last one with no speed field,
+    0 or exactly eps; then, maybe, one frame (the latest or an earlier
+    one) reporting a speed above eps."""
+    objects = {}
+    for i in range(draw(st.integers(1, 6))):
+        track, east = [], 0.0
+        for step in sorted(draw(st.sets(st.integers(0, 7), min_size=1, max_size=6))):
+            ts = T0 + step * 1_000_000
+            if draw(st.integers(0, 4)) == 0:
+                track.append((ts, None, None, None, None))
+                continue
+            east += draw(st.sampled_from([0.0, 0.3, 5.0]))
+            track.append((ts, east, 0.0, None, draw(st.sampled_from([None, 0.0, STATIONARY_SPEED_EPS]))))
+        fast = draw(st.one_of(st.none(), st.integers(0, len(track) - 1)))
+        if fast is not None:
+            ts, at_east, _, _, _ = track[fast]
+            speed = draw(st.sampled_from([math.nextafter(STATIONARY_SPEED_EPS, math.inf), 3.0]))
+            track[fast] = (ts, east if at_east is None else at_east, 0.0, None, speed)
+        objects[f"o{i}"] = track
+    return objects
 
 
 class TestStationaryObjects:
@@ -315,9 +363,30 @@ class TestStationaryObjects:
         got = [r.element_id for r in ldm.stationary_objects(at, 3.0, 5.0)]
         assert got == oracles.stationary_objects(ldm.store, at, 3.0, 5.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(stationary_scenes(), st.integers(0, 7))
+    def test_equals_the_oracle_over_mixed_speed_fields(self, objects, at_step):
+        ldm = LocalDynamicMap()
+        ldm.add_objects(scene_with(objects))
+        at = T0 + at_step * 1_000_000
+        got = [r.element_id for r in ldm.stationary_objects(at)]
+        assert got == oracles.stationary_objects(ldm.store, at, STATIONARY_WINDOW_S, STATIONARY_SPEED_EPS)
+
+    def test_movers_are_rejected_without_reading_their_window(self, monkeypatch):
+        # 200 objects whose latest frame reports 10 m/s.
+        track = [(T0 + i * 1_000_000, 10.0 * i, 0.0, None, 10.0) for i in range(3)]
+        ldm = LocalDynamicMap()
+        ldm.add_objects(scene_with({f"m{i}": track for i in range(200)}))
+        calls = []
+        query_frames = ldm.store.query_frames
+        monkeypatch.setattr(ldm.store, "query_frames", lambda *a: calls.append(a) or query_frames(*a))
+        assert ldm.stationary_objects(T0 + 2_000_000) == []
+        assert calls == []
+
     def test_eviction_started_mid_query_waits_for_it(self, monkeypatch):
         # The eviction pass starts right after the object list is read and
-        # drops every object; the query must still see each of them.
+        # drops every object; the query must still see each of them. Both
+        # objects report speed 0, so the query reads each one's window.
         track = [(T0 + i * 1_000_000, 0.0, 0.0, None, 0.0) for i in range(3)]
         ldm = LocalDynamicMap()
         ldm.add_objects(scene_with({"parked": track, "kerb": track}))
@@ -378,6 +447,16 @@ class TestNextRoadNodes:
             "ego": [(T0, 100.0, 2.0, None, None), (T0 + 1_000_000, 150.0, 2.0, None, None)],
         }))
         assert ldm.next_road_nodes(eid_of(ldm, "ego"), 2, T0 + 1_000_000) == [3, 4]
+
+    def test_heading_derived_past_a_frame_without_pose(self, monkeypatch):
+        # Heading west: from 200 m to 150 m, with a pose-less frame between.
+        ldm = self.build()
+        ldm.add_objects(scene_with({
+            "ego": [(T0, 200.0, 2.0, None, None), (T0 + 500_000, None, None, None, None),
+                    (T0 + 1_000_000, 150.0, 2.0, None, None)],
+        }))
+        monkeypatch.setattr(ldm.store, "query_frames", None)  # the history is not copied
+        assert ldm.next_road_nodes(eid_of(ldm, "ego"), 2, T0 + 1_000_000) == [2, 1]
 
     def test_unmatched_raises(self):
         ldm = self.build()

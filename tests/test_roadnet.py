@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BASE_LAT, BASE_LON, chain_xml, grid_graph, offset_point, osm_xml, random_osm
+from conftest import (
+    BASE_LAT,
+    BASE_LON,
+    beside_segment,
+    chain_xml,
+    grid_graph,
+    offset_point,
+    osm_xml,
+    random_osm,
+)
 from ldm.errors import MalformedDocument, UnknownNode
 from ldm.geo import EnuPoint, GeoBox, enu_to_wgs84, haversine_m, project_to_segment, wgs84_to_enu
 from ldm.model import ElementKind, LdmLayer
@@ -247,6 +256,30 @@ class TestMapMatch:
                 else:
                     assert (got.way_id, got.segment_index, got.distance_m) == expected
 
+    def test_across_the_antimeridian(self):
+        # The way's match box spans lon [-179.9909, 179.9909] and does not
+        # wrap, so both points lie outside it, 11 m from the way.
+        graph = RoadGraph(nodes={1: RoadNode(1, 0.0, 179.99), 2: RoadNode(2, 0.0, -179.99)},
+                          ways={5: RoadWay(5, [1, 2])})
+        rebuild_adjacency(graph)
+        for lon in (179.999, -179.999):
+            m = map_match(graph, 0.0001, lon)
+            assert as_tuple(m) == oracles.match_point(graph, 0.0001, lon)
+            assert m.way_id == 5 and m.distance_m == pytest.approx(11.12, abs=0.01)
+
+    @pytest.mark.parametrize("origin", [(0.0, 179.9995), (65.0, -179.999)])
+    def test_matches_exhaustive_oracle_across_the_antimeridian(self, origin):
+        # Points within 80 m of a segment, on either side of the line.
+        rng = random.Random(78)
+        for trial in range(8):
+            g = parse_osm(random_osm(rng, n_ways=15, spread_m=1500.0, origin=origin))
+            for _ in range(40):
+                way_id = rng.choice(sorted(g.ways))
+                index = rng.randrange(len(g.ways[way_id].node_refs) - 1)
+                lat, lon = beside_segment(g, way_id, index, rng.random(),
+                                          rng.uniform(-80, 80), rng.uniform(-80, 80))
+                assert as_tuple(map_match(g, lat, lon)) == oracles.match_point(g, lat, lon)
+
 
 def match_box(graph, way_id):
     """A way's bounding box, from its nodes, inflated by MATCH_INFLATE_M."""
@@ -257,11 +290,12 @@ def match_box(graph, way_id):
 
 
 def full_scan_match(graph, lat, lon, threshold_m=MATCH_THRESHOLD_M):
-    """map_match as it was before the way-cell index: the inflated box of
-    every way is tested. Returns (way id, segment index, distance)."""
+    """map_match without the way-cell index: the inflated box of every
+    way that is not wide is tested. Returns (way id, segment index,
+    distance)."""
     candidates = []
     for way_id, way in graph.ways.items():
-        if not match_box(graph, way_id).contains(lat, lon):
+        if not graph.is_wide(way_id) and not match_box(graph, way_id).contains(lat, lon):
             continue
         for i, (a, b) in enumerate(zip(way.node_refs, way.node_refs[1:])):
             na, nb = graph.nodes[a], graph.nodes[b]
@@ -332,6 +366,9 @@ class TestWayCellIndex:
     def test_indexed_match_equals_full_scan(self, case):
         graph, points, threshold = case
         assert all(graph.way_bbox(w) == match_box(graph, w) for w in graph.ways)
+        # A box that reaches past +-180 degrees does not wrap: its way is wide.
+        assert all(graph.is_wide(w) for w in graph.ways
+                   if not -180.0 <= graph.way_bbox(w).min_lon <= graph.way_bbox(w).max_lon <= 180.0)
         for lat, lon in points:
             assert as_tuple(map_match(graph, lat, lon, threshold_m=threshold)) == \
                 full_scan_match(graph, lat, lon, threshold)

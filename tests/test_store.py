@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldm import store as store_module
 from ldm.errors import (
     AttributeOverlap,
     InvalidConfig,
@@ -324,11 +325,37 @@ class TestObjectsAt:
         store = LdmStore()
         car = store.upsert_element(element("car-7"))
         store.upsert_element(element("road", layer=LdmLayer.L1_Static, kind=ElementKind.Context))
-        parked = store.upsert_element(element("car-8"))
+        store.upsert_element(element("parked"))
+        late = store.upsert_element(element("car-9"))
         store.insert_frame(rec(car, 10))
         store.insert_frame(rec(car, 20))
-        entries = {e.element.id: e.frame for e in store.objects_at(15)}
-        assert entries == {car: rec(car, 10), parked: None}
+        store.insert_frame(rec(late, 30))
+
+        def latest(at):
+            return {e.element.id: e.frame for e in store.objects_at(at)}
+
+        # parked has no frame, late none at or before 15: both are absent.
+        assert latest(15) == {car: rec(car, 10)}
+        assert latest(9) == {}
+        assert latest(30) == {car: rec(car, 20), late: rec(late, 30)}
+
+    def test_objects_without_a_frame_yet_cost_no_search(self, monkeypatch):
+        # 2,000 objects whose frames all come after the read time: none
+        # is listed, and no frame log is searched for them, nor for
+        # objects whose latest frame is at or before the read time.
+        store = LdmStore()
+        store.upsert_elements([SceneElement(0, ElementKind.Object, f"car-{i}", "vehicle.car",
+                                            LdmLayer.L4_Dynamic, {}, {ts: FrameRecord(ts, 0)
+                                                                      for ts in (100, 200)})
+                               for i in range(2000)])
+        searches = []
+        bisect_right = store_module.bisect_right
+        monkeypatch.setattr(store_module, "bisect_right", lambda *a: searches.append(1) or bisect_right(*a))
+        assert store.objects_at(99) == []
+        assert len(store.objects_at(200)) == 2000
+        assert searches == []
+        assert {e.frame.timestamp for e in store.objects_at(150)} == {100}
+        assert len(searches) == 2000
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["upsert", "merge", "frame", "evict", "restore"]),
@@ -359,7 +386,8 @@ class TestObjectsAt:
                                                    {ts: FrameRecord(ts, 1000 - n, pose)}))
         for at in sorted({t * US for _, _, t in ops} | {-1, 1 << 62}):
             got = sorted(store.objects_at(at), key=lambda e: e.element.id)
-            assert got == [e for e in store.snapshot(at).entries if e.element.kind is ElementKind.Object]
+            assert got == [e for e in store.snapshot(at).entries
+                           if e.element.kind is ElementKind.Object and e.frame is not None]
 
 
 class TestStats:
