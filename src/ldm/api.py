@@ -161,12 +161,12 @@ class LocalDynamicMap:
         ego_match = map_match(graph, ego_rec.pose.lat, ego_rec.pose.lon)
         if ego_match is None:
             return []
-        # map_match returns a way that is not wide only for positions inside
-        # its match box, so objects outside that box cannot share its way.
-        box = None if graph.is_wide(ego_match.way_id) else graph.way_bbox(ego_match.way_id)
+        # map_match returns a way only for positions inside its match box,
+        # so objects outside the ego way's box cannot share its way.
+        box = graph.way_bbox(ego_match.way_id)
         rows = []
         for element, rec in self._object_states(at, exclude=ego):
-            if box is not None and not box.contains(rec.pose.lat, rec.pose.lon):
+            if not box.contains(rec.pose.lat, rec.pose.lon):
                 continue
             m = map_match(graph, rec.pose.lat, rec.pose.lon)
             if m is not None and m.way_id == ego_match.way_id:
@@ -201,10 +201,9 @@ class LocalDynamicMap:
                 # No frame in (at - window, at] if the latest one is older.
                 if entry.frame.timestamp <= at - window_us:
                     continue
-                # The latest frame is in the window, so a pose speed above
-                # eps on it rules the object out, as in _is_stationary.
-                pose = entry.frame.pose
-                if pose is not None and pose.speed is not None and pose.speed > speed_eps:
+                # The latest frame is in the window: if it alone rules the
+                # object out, so does the whole window.
+                if not self._is_stationary([entry.frame], speed_eps):
                     continue
                 element = entry.element
                 frames = self.store.query_frames(element.id, at - window_us + 1, at + 1)

@@ -38,10 +38,11 @@ MATCH_INFLATE_M = 100.0
 # Way-cell index: cells are CELL_DEG degrees of latitude by CELL_DEG
 # degrees of longitude (about 0.0018), and each way is listed in every
 # cell its inflated box overlaps. A "wide" way, whose inflated box spans
-# more than MAX_CELLS_PER_WAY cells (across the antimeridian, or near a
-# pole) or reaches past +-180 degrees of longitude, is instead tested at
-# every position, without its box: the box does not wrap, but the
-# distances do.
+# more than MAX_CELLS_PER_WAY cells (near a pole, or a long way), is
+# instead a candidate for every position. Boxes do not wrap, so a box
+# that reaches past +-180 degrees or spans more than 180 degrees of
+# longitude (across the antimeridian) takes every longitude: its way is
+# wide, and the box test keeps only its latitude band.
 CELL_DEG = math.degrees(2 * MATCH_INFLATE_M / EARTH_RADIUS_M)
 MAX_CELLS_PER_WAY = 4096
 
@@ -87,17 +88,14 @@ class RoadGraph:
     warnings: list[str] = field(default_factory=list)
     _bboxes: dict[int, GeoBox] = field(default_factory=dict, compare=False, repr=False)
     _cells: dict[tuple[int, int], list[int]] = field(default_factory=dict, compare=False, repr=False)
-    _wide_ways: set[int] = field(default_factory=set, compare=False, repr=False)
+    _wide_ways: list[int] = field(default_factory=list, compare=False, repr=False)
 
     def way_bbox(self, way_id: int) -> GeoBox:
         """The way's match box: the bounding box of its nodes inflated by
-        MATCH_INFLATE_M. map_match returns a way that is not wide only
-        for positions inside it."""
+        MATCH_INFLATE_M, with every longitude if it would not wrap at the
+        antimeridian. map_match returns the way only for positions inside
+        it."""
         return self._bboxes[way_id]
-
-    def is_wide(self, way_id: int) -> bool:
-        """Whether map_match tests the way at every position, box or not."""
-        return way_id in self._wide_ways
 
     def ways_near(self, lat: float, lon: float) -> Iterable[int]:
         """The ways listed in the (finite) position's cell, plus the wide
@@ -200,7 +198,7 @@ def rebuild_adjacency(graph: RoadGraph) -> None:
     """Recompute adjacency (and segment lengths), the way match boxes and
     the way-cell index from nodes and ways."""
     graph.adjacency = {node_id: [] for node_id in graph.nodes}
-    graph._bboxes, graph._cells, graph._wide_ways = {}, {}, set()
+    graph._bboxes, graph._cells, graph._wide_ways = {}, {}, []
     for way in graph.ways.values():
         refs = way.node_refs
         pts = [graph.nodes[n] for n in refs]
@@ -212,6 +210,8 @@ def rebuild_adjacency(graph: RoadGraph) -> None:
         lats = [p.lat for p in pts]
         lons = [p.lon for p in pts]
         box = GeoBox(min(lats), min(lons), max(lats), max(lons)).inflate_m(MATCH_INFLATE_M)
+        if box.min_lon < -180.0 or box.max_lon > 180.0 or box.max_lon - box.min_lon > 180.0:
+            box = GeoBox(box.min_lat, -math.inf, box.max_lat, math.inf)
         graph._bboxes[way.osm_id] = box
         _index_way(graph, way.osm_id, box)
 
@@ -226,11 +226,10 @@ def _index_way(graph: RoadGraph, way_id: int, box: GeoBox) -> None:
     try:
         (lat0, lon0), (lat1, lon1) = _cell(box.min_lat, box.min_lon), _cell(box.max_lat, box.max_lon)
     except (ValueError, OverflowError):  # NaN or infinite coordinates
-        graph._wide_ways.add(way_id)
+        graph._wide_ways.append(way_id)
         return
-    if (box.min_lon < -180.0 or box.max_lon > 180.0
-            or (lat1 - lat0 + 1) * (lon1 - lon0 + 1) > MAX_CELLS_PER_WAY):
-        graph._wide_ways.add(way_id)
+    if (lat1 - lat0 + 1) * (lon1 - lon0 + 1) > MAX_CELLS_PER_WAY:
+        graph._wide_ways.append(way_id)
         return
     for cell in product(range(lat0, lat1 + 1), range(lon0, lon1 + 1)):
         graph._cells.setdefault(cell, []).append(way_id)
@@ -314,9 +313,9 @@ def map_match(
 ) -> Optional[MatchResult]:
     """Snap a position to the nearest road segment.
 
-    Candidate ways are the wide ways and those whose match box
-    (way_bbox) contains the position; the way-cell index lists them
-    without visiting the rest of the map. Segments are measured in the
+    Candidate ways are those whose match box (way_bbox) contains the
+    position; the way-cell index lists them without visiting the rest of
+    the map. Segments are measured in the
     position's ENU frame, as wgs84_to_enu computes it. Returns None for
     a position that is not finite, and when every segment is further
     than threshold_m. Near-ties (within 1e-9 m) resolve to the lower
@@ -328,9 +327,8 @@ def map_match(
     origin = EnuPoint(0.0, 0.0)
     cos_lat = math.cos(math.radians(lat))
     nodes = graph.nodes
-    wide = graph._wide_ways
     for way_id in graph.ways_near(lat, lon):
-        if not graph.way_bbox(way_id).contains(lat, lon) and way_id not in wide:
+        if not graph.way_bbox(way_id).contains(lat, lon):
             continue
         pts = [enu_offset(lat, lon, cos_lat, n.lat, n.lon)
                for n in map(nodes.__getitem__, graph.ways[way_id].node_refs)]

@@ -178,8 +178,8 @@ def positions_doc(positions):
 
 # Mid latitudes; 80 N with 20 km ways, whose match boxes span too many
 # cells for the way-cell index; and both sides of the antimeridian, where
-# match boxes reach past +-180 degrees and do not wrap. The last two give
-# "wide" ways, tested for every position without their box.
+# match boxes would not wrap, so they take every longitude. The last two
+# give "wide" ways, candidates for every position.
 SCENES = {"mid": ((BASE_LAT, BASE_LON), (150.0, 3000.0)),
           "pole": ((80.0, 15.0), (20000.0,)),
           "antimeridian": ((0.0, 179.9995), (150.0, 3000.0)),
@@ -218,8 +218,8 @@ def same_way_scenes(draw):
         if outside:
             lat = math.nextafter(lat, math.inf if upper_lat else -math.inf)
             lon = math.nextafter(lon, math.inf if upper_lon else -math.inf)
-        if not -180.0 <= lon < 180.0:  # a box past the antimeridian
-            lon = (lon + 180.0) % 360.0 - 180.0
+        if math.isinf(lon):  # a box with every longitude: its edge is the lat band
+            lon = graph.nodes[ways[way_id].node_refs[0]].lon
         return lat, lon
 
     corners = st.builds(corner, st.sampled_from(sorted(ways)), st.booleans(), st.booleans(), st.booleans())
@@ -254,8 +254,8 @@ class TestSameWayPrefilter:
         assert [r.element_id for r in ldm.objects_on_same_way(ego, T0)] == expected
 
     def test_across_the_antimeridian(self):
-        # Both positions lie 11 m from the way, outside its match box,
-        # which spans lon [-179.9909, 179.9909] and does not wrap.
+        # Both positions lie 11 m from the way, outside its nodes' inflated
+        # box, which spans lon [-179.9909, 179.9909] and does not wrap.
         graph = RoadGraph(nodes={1: RoadNode(1, 0.0, 179.99), 2: RoadNode(2, 0.0, -179.99)},
                           ways={5: RoadWay(5, [1, 2])})
         rebuild_adjacency(graph)

@@ -19,6 +19,7 @@ from conftest import (
 from ldm.errors import MalformedDocument, UnknownNode
 from ldm.geo import EnuPoint, GeoBox, enu_to_wgs84, haversine_m, project_to_segment, wgs84_to_enu
 from ldm.model import ElementKind, LdmLayer
+from ldm import roadnet
 from ldm.roadnet import (
     CELL_DEG,
     MATCH_INFLATE_M,
@@ -257,8 +258,9 @@ class TestMapMatch:
                     assert (got.way_id, got.segment_index, got.distance_m) == expected
 
     def test_across_the_antimeridian(self):
-        # The way's match box spans lon [-179.9909, 179.9909] and does not
-        # wrap, so both points lie outside it, 11 m from the way.
+        # The nodes' inflated box spans lon [-179.9909, 179.9909] and does
+        # not wrap: both points, 11 m from the way, lie outside it, so the
+        # match box takes every longitude instead.
         graph = RoadGraph(nodes={1: RoadNode(1, 0.0, 179.99), 2: RoadNode(2, 0.0, -179.99)},
                           ways={5: RoadWay(5, [1, 2])})
         rebuild_adjacency(graph)
@@ -282,20 +284,24 @@ class TestMapMatch:
 
 
 def match_box(graph, way_id):
-    """A way's bounding box, from its nodes, inflated by MATCH_INFLATE_M."""
+    """A way's bounding box, from its nodes, inflated by MATCH_INFLATE_M.
+    Boxes do not wrap, so one that reaches past +-180 degrees or spans
+    more than 180 degrees of longitude keeps only its latitude band."""
     way = graph.ways[way_id]
     lats = [graph.nodes[n].lat for n in way.node_refs]
     lons = [graph.nodes[n].lon for n in way.node_refs]
-    return GeoBox(min(lats), min(lons), max(lats), max(lons)).inflate_m(MATCH_INFLATE_M)
+    box = GeoBox(min(lats), min(lons), max(lats), max(lons)).inflate_m(MATCH_INFLATE_M)
+    if box.min_lon < -180.0 or box.max_lon > 180.0 or box.max_lon - box.min_lon > 180.0:
+        return GeoBox(box.min_lat, -math.inf, box.max_lat, math.inf)
+    return box
 
 
 def full_scan_match(graph, lat, lon, threshold_m=MATCH_THRESHOLD_M):
     """map_match without the way-cell index: the inflated box of every
-    way that is not wide is tested. Returns (way id, segment index,
-    distance)."""
+    way is tested. Returns (way id, segment index, distance)."""
     candidates = []
     for way_id, way in graph.ways.items():
-        if not graph.is_wide(way_id) and not match_box(graph, way_id).contains(lat, lon):
+        if not match_box(graph, way_id).contains(lat, lon):
             continue
         for i, (a, b) in enumerate(zip(way.node_refs, way.node_refs[1:])):
             na, nb = graph.nodes[a], graph.nodes[b]
@@ -348,9 +354,11 @@ def maps_and_points(draw):
         lambda east, north: enu_to_wgs84(lat0, lon0, east, north, max_range_m=math.inf)[:2],
         st.floats(-40000.0, 40000.0), st.floats(-40000.0, 40000.0))
     def inflated_corner(way_id, upper):
-        # On the edge of the prefilter: way_bbox is the inflated box.
+        # On the edge of the prefilter: way_bbox is the inflated box. A box
+        # with every longitude has its edge at any longitude of the way.
         box = graph.way_bbox(way_id)
-        return (box.max_lat, box.max_lon) if upper else (box.min_lat, box.min_lon)
+        lat, lon = (box.max_lat, box.max_lon) if upper else (box.min_lat, box.min_lon)
+        return lat, lon if math.isfinite(lon) else graph.nodes[ways[way_id].node_refs[0]].lon
 
     corner = st.builds(inflated_corner, st.sampled_from(sorted(ways)), st.booleans())
     on_cell_edge = near_node.map(lambda p: (math.floor(p[0] / CELL_DEG) * CELL_DEG,
@@ -366,9 +374,6 @@ class TestWayCellIndex:
     def test_indexed_match_equals_full_scan(self, case):
         graph, points, threshold = case
         assert all(graph.way_bbox(w) == match_box(graph, w) for w in graph.ways)
-        # A box that reaches past +-180 degrees does not wrap: its way is wide.
-        assert all(graph.is_wide(w) for w in graph.ways
-                   if not -180.0 <= graph.way_bbox(w).min_lon <= graph.way_bbox(w).max_lon <= 180.0)
         for lat, lon in points:
             assert as_tuple(map_match(graph, lat, lon, threshold_m=threshold)) == \
                 full_scan_match(graph, lat, lon, threshold)
@@ -388,6 +393,24 @@ class TestWayCellIndex:
         for _ in range(500):
             lat, lon = offset_point(rng.uniform(-1100, 1100), rng.uniform(-1100, 1100))
             assert as_tuple(map_match(graph, lat, lon)) == full_scan_match(graph, lat, lon)
+
+    def test_a_long_way_is_projected_only_inside_its_box(self, monkeypatch):
+        # A 17 km diagonal way at 47.6 N: its box spans more than 4,096
+        # cells, so every position lists it, but only those inside its
+        # box project its nodes.
+        nodes = {1: RoadNode(1, *offset_point(0.0, 0.0)), 2: RoadNode(2, *offset_point(12000.0, 12000.0))}
+        graph = RoadGraph(nodes=nodes, ways={7: RoadWay(7, [1, 2])})
+        rebuild_adjacency(graph)
+        box = graph.way_bbox(7)
+        cells = [math.floor(box.max_lat / CELL_DEG) - math.floor(box.min_lat / CELL_DEG) + 1,
+                 math.floor(box.max_lon / CELL_DEG) - math.floor(box.min_lon / CELL_DEG) + 1]
+        assert cells[0] * cells[1] > 4096
+        projected = []
+        enu_offset = roadnet.enu_offset
+        monkeypatch.setattr(roadnet, "enu_offset", lambda *a: projected.append(1) or enu_offset(*a))
+        assert map_match(graph, *offset_point(20000.0, 0.0)) is None and projected == []
+        m = map_match(graph, *offset_point(6000.0, 6010.0))
+        assert (m.way_id, m.segment_index) == (7, 0) and len(projected) == 2
 
     def test_ways_tested_per_match_do_not_grow_with_the_map(self, monkeypatch):
         tested = []
