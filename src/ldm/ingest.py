@@ -355,9 +355,10 @@ def build_document(
 ) -> dict:
     """Assemble the canonical scene document for a set of elements.
 
-    frames_for yields the frame records to emit for each element id.
-    Ordering is fixed everywhere (ascending uids, ascending timestamps,
-    sorted attribute names) so serialization is deterministic.
+    frames_for yields the frame records to emit for each element id,
+    ascending by timestamp. Ordering is fixed everywhere (ascending
+    uids, ascending timestamps, sorted attribute names) so serialization
+    is deterministic.
     """
     elements = sorted(elements, key=lambda e: e.id)
     kind_of = {e.id: e.kind for e in elements}
@@ -373,7 +374,7 @@ def build_document(
     # One document frame per timestamp, keyed by that timestamp.
     by_ts: dict[Timestamp, dict] = {}
     for e in elements:
-        for rec in sorted(frames_for(e.id), key=lambda r: r.timestamp):
+        for rec in frames_for(e.id):
             slot = by_ts.setdefault(rec.timestamp, {"objects": {}, "contexts": {}})
             data: dict = {}
             if rec.pose is not None:
@@ -428,8 +429,12 @@ def build_document(
     return {ROOT_KEY: root}
 
 
-def serialize_document(doc: dict) -> str:
-    """Render a document dict exactly as build_document ordered it."""
+def serialize_document(doc: dict, compact: bool = False) -> str:
+    """Render a document dict exactly as build_document ordered it:
+    indented, or on one line without spaces when compact (eviction
+    archives, where the one-shot C encoder does the work)."""
+    if compact:
+        return json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 

@@ -56,7 +56,12 @@ def default_ttls() -> dict[LdmLayer, float]:
 
 @dataclass
 class LdmConfig:
-    """Store behavior knobs; all durations are seconds."""
+    """Store behavior knobs; all durations are seconds.
+
+    With archive_dir set, eviction passes archive every frame they drop.
+    Frames trimmed on write by max_frames_per_element are the exception:
+    they count in evicted_total but are not archived.
+    """
 
     ttl_per_layer: dict[LdmLayer, float] = field(default_factory=default_ttls)
     eviction_period: float = 1.0
@@ -242,8 +247,13 @@ class LdmStore:
         self._config = config or LdmConfig()
         validate_config(self._config)
         self._entries: dict[ElementId, _Entry] = {}
-        # The Object-kind subset of _entries, for the object queries.
-        self._objects: dict[ElementId, _Entry] = {}
+        # _entries partitioned by kind, then layer: eviction walks only
+        # the finite-TTL layers, the object queries only the Object
+        # tables. An entry never moves, as an element's layer never
+        # changes.
+        self._tables: dict[ElementKind, dict[LdmLayer, dict[ElementId, _Entry]]] = {
+            kind: {layer: {} for layer in LdmLayer} for kind in ElementKind
+        }
         self._by_key: dict[tuple, ElementId] = {}
         self._relations: dict[tuple, Relation] = {}
         self._rels_by_element: dict[ElementId, set[tuple]] = {}
@@ -369,9 +379,8 @@ class LdmStore:
         entry = self._entries.get(eid)
         if entry is None:
             element = SceneElement(eid, e.kind, e.name, e.semantic_type, e.layer, dict(e.static_attributes))
-            entry = self._entries[eid] = _Entry(element, self._last_update)
-            if e.kind is ElementKind.Object:
-                self._objects[eid] = entry
+            entry = _Entry(element, self._last_update)
+            self._entries[eid] = self._tables[e.kind][e.layer][eid] = entry
             self._by_key[(e.kind, e.name, e.semantic_type)] = eid
             self._next_id = max(self._next_id, eid + 1)
             changed = True
@@ -480,22 +489,26 @@ class LdmStore:
         with their relations. Returns the number of frames removed.
 
         With archive_dir configured, the outgoing frames are written to
-        a timestamped archive document first; a failing archive write
-        aborts the eviction so nothing is lost.
+        a timestamped archive document first (compact JSON, a new file
+        per pass); a failing archive write aborts the eviction so nothing
+        is lost.
         """
         with self._lock.write():
             expired_frames: dict[ElementId, list[FrameRecord]] = {}
             dead_elements: list[ElementId] = []
-            for eid, entry in self._entries.items():
-                ttl = self._config.ttl_us(entry.element.layer)
-                if not math.isfinite(ttl):
-                    continue
-                cutoff = now - ttl
-                pos = bisect_left(entry.times, cutoff)
-                if pos > 0:
-                    expired_frames[eid] = [entry.frames[t] for t in entry.times[:pos]]
-                if pos == len(entry.times) and now - entry.latest_ts > ttl:
-                    dead_elements.append(eid)
+            ttls = {layer: self._config.ttl_us(layer) for layer in LdmLayer}
+            for tables in self._tables.values():
+                for layer, table in tables.items():
+                    ttl = ttls[layer]
+                    if not math.isfinite(ttl):
+                        continue
+                    cutoff = now - ttl
+                    for eid, entry in table.items():
+                        pos = bisect_left(entry.times, cutoff)
+                        if pos > 0:
+                            expired_frames[eid] = [entry.frames[t] for t in entry.times[:pos]]
+                        if pos == len(entry.times) and now - entry.latest_ts > ttl:
+                            dead_elements.append(eid)
 
             if self._config.archive_dir and expired_frames:
                 self._archive_locked(now, expired_frames)
@@ -515,7 +528,7 @@ class LdmStore:
 
     def _remove_element_locked(self, eid: ElementId) -> None:
         entry = self._entries.pop(eid)
-        self._objects.pop(eid, None)
+        del self._tables[entry.element.kind][entry.element.layer][eid]
         key = (entry.element.kind, entry.element.name, entry.element.semantic_type)
         self._by_key.pop(key, None)
         for rel_key in self._rels_by_element.pop(eid, set()):
@@ -535,11 +548,26 @@ class LdmStore:
             streams={},
             note=f"evicted at {now}",
         )
-        path = os.path.join(self._config.archive_dir, f"evicted-{now}.json")
+        archive_dir = self._config.archive_dir
         try:
-            os.makedirs(self._config.archive_dir, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(serialize_document(doc))
+            os.makedirs(archive_dir, exist_ok=True)
+            # Written aside (a name of this thread's own), then linked in
+            # under the first free name: a crash leaves no partial archive,
+            # and a second pass at the same `now` keeps the first's file.
+            aside = os.path.join(archive_dir, f".evicted-{os.getpid()}-{threading.get_ident()}.tmp")
+            with open(aside, "w", encoding="utf-8") as f:
+                f.write(serialize_document(doc, compact=True))
+            try:
+                suffix = 0
+                while True:
+                    name = f"evicted-{now}-{suffix}.json" if suffix else f"evicted-{now}.json"
+                    try:
+                        os.link(aside, os.path.join(archive_dir, name))
+                        break
+                    except FileExistsError:
+                        suffix += 1
+            finally:
+                os.unlink(aside)
         except OSError as exc:
             raise SinkError(str(exc)) from exc
 
@@ -628,12 +656,13 @@ class LdmStore:
         relations."""
         with self._lock.read():
             out = []
-            for entry in self._objects.values():
-                times = entry.times
-                if not times or times[0] > at:
-                    continue
-                ts = times[-1] if times[-1] <= at else times[bisect_right(times, at) - 1]
-                out.append(SnapshotEntry(entry.element, entry.frames[ts]))
+            for table in self._tables[ElementKind.Object].values():
+                for entry in table.values():
+                    times = entry.times
+                    if not times or times[0] > at:
+                        continue
+                    ts = times[-1] if times[-1] <= at else times[bisect_right(times, at) - 1]
+                    out.append(SnapshotEntry(entry.element, entry.frames[ts]))
             return out
 
     def stats(self) -> StoreStats:

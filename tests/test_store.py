@@ -14,12 +14,15 @@ from ldm.errors import (
     AttributeOverlap,
     InvalidConfig,
     InvalidElement,
+    SinkError,
     UnknownElement,
 )
+from ldm.ingest import parse_openlabel
 from ldm.geo import GeoBox
 from ldm.model import (
     ElementKind,
     FrameRecord,
+    FrameSource,
     GeoPose,
     LdmLayer,
     Relation,
@@ -141,6 +144,15 @@ class TestInsertFrame:
         assert [f.timestamp for f in frames] == [102, 103, 104]
         assert store.stats().evicted_total == 2
 
+    def test_frame_cap_trims_without_archiving(self, tmp_path):
+        # The cap drops frames on write; only eviction passes archive.
+        store = LdmStore(LdmConfig(max_frames_per_element=3, archive_dir=str(tmp_path)))
+        eid = store.upsert_element(element("car-7"))
+        for i in range(5):
+            store.insert_frame(rec(eid, 100 + i, pose=GeoPose(1.0, 2.0)))
+        assert store.stats().evicted_total == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRelations:
     def test_add_and_dedup(self):
@@ -235,6 +247,105 @@ class TestEviction:
         files = list(tmp_path.glob("evicted-*.json"))
         assert len(files) == 1
         assert "car-7" in files[0].read_text()
+
+    def test_archive_holds_exactly_the_evicted_records(self, tmp_path):
+        store = LdmStore(LdmConfig(archive_dir=str(tmp_path)))
+        car = store.upsert_element(element("car-7", static={"brand": "acme"}))
+        phase = store.upsert_element(element("phase-1", kind=ElementKind.Context,
+                                             layer=LdmLayer.L3_Transient, sem="signal.phase"))
+        store.upsert_element(element("node-1", kind=ElementKind.Context, sem="road.node",
+                                     layer=LdmLayer.L1_Static, static={"lat": 1.0, "lon": 2.0}))
+        sources = list(FrameSource)
+        for i in range(6):
+            store.insert_frame(FrameRecord((570 + i) * US, car, GeoPose(1.0 + i / 1e4, 2.0, speed=i / 3),
+                                           {"confidence": 90 + i, "tag": f"t{i}"},
+                                           sources[i % len(sources)]))
+        store.insert_frame(FrameRecord(0, phase, None, {"state": "red"}, FrameSource.V2X))
+        store.insert_frame(FrameRecord(700 * US, phase, None, {"state": "green"}))
+        now = 603 * US  # car frames at 570..572 s and the phase's 0 s frame expire
+        expected = {(car, r.timestamp): r for r in store.query_frames(car, 0, 573 * US)}
+        expected[phase, 0] = store.query_frames(phase, 0, 1)[0]
+        assert store.evict_expired(now) == len(expected)
+
+        [path] = tmp_path.glob("evicted-*.json")
+        text = path.read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and ": " not in text and ", " not in text
+        payload = parse_openlabel(text)
+        assert {uid: (e.name, e.static) for uid, e in payload.objects.items()} == {
+            car: ("car-7", {"brand": "acme"})}
+        assert {uid: e.name for uid, e in payload.contexts.items()} == {phase: "phase-1"}
+        got = {}
+        for frame in payload.frames.values():
+            for uid, data in (*frame.objects.items(), *frame.contexts.items()):
+                got[uid, frame.timestamp] = FrameRecord(frame.timestamp, uid, data.pose, data.data,
+                                                        FrameSource(data.source))
+        assert got == expected
+
+    def test_second_pass_at_the_same_time_keeps_the_first_archive(self, tmp_path):
+        store = LdmStore(LdmConfig(archive_dir=str(tmp_path)))
+        a = store.upsert_element(element("car-a"))
+        store.insert_frame(rec(a, 0, pose=GeoPose(1.0, 2.0)))
+        assert store.evict_expired(100 * US) == 1
+        b = store.upsert_element(element("car-b"))
+        store.insert_frame(rec(b, 1, pose=GeoPose(1.0, 2.0)))  # a late frame
+        assert store.evict_expired(100 * US) == 1
+        assert store.stats().evicted_total == 2
+        names = {}
+        for path in tmp_path.glob("evicted-*.json"):
+            payload = parse_openlabel(path.read_text(encoding="utf-8"))
+            names[path.name] = sorted(e.name for e in payload.objects.values())
+        assert names == {f"evicted-{100 * US}.json": ["car-a"],
+                         f"evicted-{100 * US}-1.json": ["car-b"]}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+    def test_failed_archive_leaves_no_file_and_evicts_nothing(self, tmp_path, monkeypatch):
+        store = LdmStore(LdmConfig(archive_dir=str(tmp_path)))
+        eid = store.upsert_element(element("car-7"))
+        store.insert_frame(rec(eid, 0, pose=GeoPose(1.0, 2.0)))
+
+        def no_link(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_module.os, "link", no_link)
+        with pytest.raises(SinkError):
+            store.evict_expired(100 * US)
+        assert list(tmp_path.iterdir()) == []
+        assert store.stats().frame_count == 1
+
+    def test_a_pass_searches_only_finite_ttl_entries(self, monkeypatch):
+        # k permanent road nodes and n objects: a pass looks up each
+        # layer's TTL once and searches the n frame logs whatever k is,
+        # and none once the objects are gone.
+        searches, lookups = [], []
+        bisect_left = store_module.bisect_left
+        monkeypatch.setattr(store_module, "bisect_left", lambda *a: searches.append(1) or bisect_left(*a))
+        ttl_us = LdmConfig.ttl_us
+        monkeypatch.setattr(LdmConfig, "ttl_us", lambda *a: lookups.append(1) or ttl_us(*a))
+        n = 50
+        for k in (0, 3000):
+            store = LdmStore()
+            store.upsert_elements([element(f"node-{i}", kind=ElementKind.Context, sem="road.node",
+                                           layer=LdmLayer.L1_Static) for i in range(k)])
+            store.upsert_elements([SceneElement(0, ElementKind.Object, f"car-{i}", "vehicle.car",
+                                                LdmLayer.L4_Dynamic, {}, {0: FrameRecord(0, 0)})
+                                   for i in range(n)])
+            searches.clear()
+            lookups.clear()
+            assert store.evict_expired(10 * US) == 0
+            assert len(searches) == n
+            assert len(lookups) == len(LdmLayer)
+            assert store.evict_expired(100 * US) == n
+            assert store.objects_at(1 << 62) == []
+            searches.clear()
+            assert store.evict_expired(200 * US) == 0
+            assert searches == []
+            # A re-created identity is listed and searched again.
+            store.upsert_element(SceneElement(0, ElementKind.Object, "car-0", "vehicle.car",
+                                              LdmLayer.L4_Dynamic, {}, {300 * US: FrameRecord(300 * US, 0)}))
+            assert [e.element.name for e in store.objects_at(300 * US)] == ["car-0"]
+            searches.clear()
+            assert store.evict_expired(300 * US) == 0
+            assert len(searches) == 1
 
 
 class TestEvictionTimer:
