@@ -37,7 +37,7 @@ from .model import (
     SceneElement,
     Timestamp,
 )
-from .roadnet import RoadGraph, load_into_store, map_match, merge_graphs, next_nodes, parse_osm
+from .roadnet import RoadGraph, graph_from_store, load_into_store, map_match, next_nodes, parse_osm
 from .store import LdmConfig, LdmStore, Snapshot
 
 # Stationary-object query defaults: how far back to look and how fast an
@@ -121,14 +121,17 @@ class LocalDynamicMap:
 
     def load_map(self, source: Union[RoadGraph, bytes, str, IO]) -> tuple[int, int]:
         """Parse (if needed) and load a road network as permanent-layer
-        elements; keeps the graph for map-matched queries. Loading again
-        merges: new ids are added, existing ids are updated."""
+        elements, then set the graph map-matched queries use to the one
+        those elements describe (graph_from_store; into a store with no
+        L1 element, that is the parsed graph). Loading again merges like
+        any commit: an existing node or way takes the new coordinates,
+        node list and oneway flag, and its tags merge as statics do, so a
+        tag the new map drops is kept."""
         graph = source if isinstance(source, RoadGraph) else parse_osm(source)
-        counts = load_into_store(graph, self.store)
-        if self.road_graph is None:
-            self.road_graph = graph
-        else:
-            self.road_graph = merge_graphs(self.road_graph, graph)
+        with self.store.write_lock():
+            fresh = not self.store.stats().element_count_per_layer.get(LdmLayer.L1_Static)
+            counts = load_into_store(graph, self.store)
+            self.road_graph = graph if fresh else graph_from_store(self.store)
         return counts
 
     # -- read objects -------------------------------------------------

@@ -34,6 +34,7 @@ from .api import LocalDynamicMap, ObjectReport
 from .errors import InvalidConfig, LdmError
 from .geo import GeoBox
 from .model import LdmLayer, now_us
+from .roadnet import parse_osm
 from .state import load_state, save_state
 from .store import EvictionTimer, LdmConfig, validate_config
 
@@ -252,10 +253,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 else:
                     _emit({"name": name, "value": value})
         elif args.command == "load-map":
-            nodes, ways = ldm.load_map(Path(args.path).read_bytes())
-            if ldm.road_graph.warnings:
-                for warning in ldm.road_graph.warnings:
-                    print(f"warning: {warning}", file=sys.stderr)
+            graph = parse_osm(Path(args.path).read_bytes())
+            for warning in graph.warnings:
+                print(f"warning: {warning}", file=sys.stderr)
+            nodes, ways = ldm.load_map(graph)
             _emit({"nodes": nodes, "ways": ways})
             mutated = True
         elif args.command == "ingest":

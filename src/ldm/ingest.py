@@ -626,6 +626,32 @@ class CommitCounts:
         return {"elements": self.elements, "frames": self.frames, "relations": self.relations}
 
 
+def payload_elements(payload: OpenLabelPayload,
+                     default_source: FrameSource) -> dict[tuple[ElementKind, int], SceneElement]:
+    """The payload's elements keyed by (kind, uid), objects first and
+    ascending by uid, each with id = uid and carrying its frames. A frame
+    without a source tag gets default_source; the layer stays None where
+    the payload leaves it out."""
+    elements: dict[tuple[ElementKind, int], SceneElement] = {}
+    for kind, table in ((ElementKind.Object, payload.objects), (ElementKind.Context, payload.contexts)):
+        for uid in sorted(table):
+            pe = table[uid]
+            elements[(kind, uid)] = SceneElement(uid, kind, pe.name, pe.semantic_type, pe.layer, pe.static)
+    for index in sorted(payload.frames):
+        frame = payload.frames[index]
+        for kind, section in ((ElementKind.Object, frame.objects), (ElementKind.Context, frame.contexts)):
+            for uid, data in section.items():
+                ts = data.timestamp if data.timestamp is not None else frame.timestamp
+                elements[(kind, uid)].frames[ts] = FrameRecord(
+                    timestamp=ts,
+                    element_id=uid,
+                    pose=data.pose,
+                    dynamic_attributes=dict(data.data),
+                    source=FrameSource(data.source) if data.source else default_source,
+                )
+    return elements
+
+
 def commit_payload(payload: OpenLabelPayload, store, source: str = "local_perception") -> CommitCounts:
     """Commit a parsed payload into the store, atomically.
 
@@ -653,26 +679,11 @@ def commit_payload(payload: OpenLabelPayload, store, source: str = "local_percep
             span = (frame_ts[a], frame_ts[b - 1] + 1)
         spans.append(span)
 
-    elements: dict[tuple[ElementKind, int], SceneElement] = {}
+    elements = payload_elements(payload, default_source)
     layers: dict[tuple, LdmLayer] = {}
-    for kind, table in ((ElementKind.Object, payload.objects), (ElementKind.Context, payload.contexts)):
-        for uid in sorted(table):
-            pe = table[uid]
-            elements[(kind, uid)] = SceneElement(0, kind, pe.name, pe.semantic_type, pe.layer, pe.static)
-            if pe.layer is not None:
-                layers.setdefault((kind, pe.name, pe.semantic_type), pe.layer)
-    for index in sorted(payload.frames):
-        frame = payload.frames[index]
-        for kind, section in ((ElementKind.Object, frame.objects), (ElementKind.Context, frame.contexts)):
-            for uid, data in section.items():
-                ts = data.timestamp if data.timestamp is not None else frame.timestamp
-                elements[(kind, uid)].frames[ts] = FrameRecord(
-                    timestamp=ts,
-                    element_id=0,
-                    pose=data.pose,
-                    dynamic_attributes=dict(data.data),
-                    source=FrameSource(data.source) if data.source else default_source,
-                )
+    for e in elements.values():
+        if e.layer is not None:
+            layers.setdefault((e.kind, e.name, e.semantic_type), e.layer)
 
     with store.write_lock():
         for e in elements.values():

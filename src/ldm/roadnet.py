@@ -78,8 +78,8 @@ class RoadGraph:
     adjacency maps node id -> [(neighbor id, way id, segment length m)];
     edges are bidirectional unless the way is oneway. rebuild_adjacency
     derives adjacency, the way boxes and the way-cell index from nodes
-    and ways; parse_osm and merge_graphs call it, and a graph filled by
-    hand needs that call before it is queried.
+    and ways; parse_osm and graph_from_store call it, and a graph filled
+    by hand needs that call before it is queried.
     """
 
     nodes: dict[int, RoadNode] = field(default_factory=dict)
@@ -183,17 +183,6 @@ def parse_osm(source: Union[bytes, str, IO]) -> RoadGraph:
     return graph
 
 
-def merge_graphs(base: RoadGraph, incoming: RoadGraph) -> RoadGraph:
-    """Combine two road graphs; incoming entries win on id collisions."""
-    merged = RoadGraph(
-        nodes={**base.nodes, **incoming.nodes},
-        ways={**base.ways, **incoming.ways},
-        warnings=base.warnings + incoming.warnings,
-    )
-    rebuild_adjacency(merged)
-    return merged
-
-
 def rebuild_adjacency(graph: RoadGraph) -> None:
     """Recompute adjacency (and segment lengths), the way match boxes and
     the way-cell index from nodes and ways."""
@@ -267,6 +256,57 @@ def load_into_store(graph: RoadGraph, store) -> tuple[int, int]:
             for ref in way.node_refs:
                 store.add_relation(Relation(way_eid, "hasNode", node_eid[ref]))
     return (len(graph.nodes), len(graph.ways))
+
+
+def graph_from_store(store) -> Optional[RoadGraph]:
+    """The road graph the store's L1 road elements describe: the inverse
+    of load_into_store. None when the store holds no road node it can
+    read.
+
+    Reads "road.node" (lat, lon) and "road.way" (node_refs, tag.*,
+    oneway) statics in element-id order. A road context this cannot read
+    (a name that is not an osm id, a static missing or of the wrong type,
+    a way whose refs are not all readable nodes) is left out of the graph
+    and stays an ordinary store element.
+    """
+    nodes: dict[int, RoadNode] = {}
+    ways: list[tuple[int, dict]] = []
+    for e in store.elements():
+        if (e.kind is not ElementKind.Context or e.layer is not LdmLayer.L1_Static
+                or e.semantic_type not in ("road.node", "road.way")):
+            continue
+        osm_id = _osm_id(e.name)
+        if osm_id is None:
+            continue
+        statics = e.static_attributes
+        if e.semantic_type == "road.way":
+            ways.append((osm_id, statics))
+        elif _is_number(statics.get("lat")) and _is_number(statics.get("lon")):
+            nodes[osm_id] = RoadNode(osm_id, statics["lat"], statics["lon"])
+    if not nodes:
+        return None
+    graph = RoadGraph(nodes=nodes)
+    for osm_id, statics in ways:
+        refs = statics.get("node_refs")
+        if (isinstance(refs, list) and len(refs) >= 2 and isinstance(statics.get("oneway"), bool)
+                and all(type(r) is int and r in nodes for r in refs)):
+            tags = {k[4:]: v for k, v in statics.items() if k.startswith("tag.")}
+            graph.ways[osm_id] = RoadWay(osm_id, list(refs), tags, statics["oneway"])
+    rebuild_adjacency(graph)
+    return graph
+
+
+def _osm_id(name: str) -> Optional[int]:
+    """The osm id an element name spells as load_into_store writes it."""
+    try:
+        osm_id = int(name)
+    except ValueError:
+        return None
+    return osm_id if str(osm_id) == name else None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def next_nodes(graph: RoadGraph, from_id: int, heading: float, k: int) -> list[int]:

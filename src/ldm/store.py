@@ -80,6 +80,11 @@ def validate_config(cfg: LdmConfig) -> None:
         ttl = cfg.ttl_per_layer.get(layer, math.inf)
         if not ttl > 0:
             raise InvalidConfig(f"ttl_per_layer[{layer.name}] must be > 0, got {ttl}")
+    # L1 holds the road map, from which the road graph is derived and
+    # which the state dir saves: evicting it would lose the map.
+    l1 = cfg.ttl_per_layer.get(LdmLayer.L1_Static, math.inf)
+    if math.isfinite(l1):
+        raise InvalidConfig(f"ttl_per_layer[L1_Static] must be inf (the permanent layer), got {l1}")
     if not cfg.eviction_period > 0:
         raise InvalidConfig(f"eviction_period must be > 0, got {cfg.eviction_period}")
     finite = [t for t in cfg.ttl_per_layer.values() if math.isfinite(t)]
@@ -107,6 +112,7 @@ class StoreStats:
     last_update: Timestamp
     evicted_total: int
     frame_count: int = 0
+    next_id: ElementId = 0
 
 
 @dataclass
@@ -289,7 +295,8 @@ class LdmStore:
         upsert_elements. Returns the element id."""
         return self.upsert_elements([e])[0][0]
 
-    def upsert_elements(self, elements: list[SceneElement]) -> tuple[list[ElementId], int, int]:
+    def upsert_elements(self, elements: list[SceneElement],
+                        keep_ids: bool = False) -> tuple[list[ElementId], int, int]:
         """Insert or merge a batch of elements with the frames they
         carry, all or nothing.
 
@@ -300,7 +307,10 @@ class LdmStore:
         anything is written, so a raise (InvalidElement) writes nothing:
         each element must be valid, keep its identity's layer, and no
         attribute name may be static and dynamic for one identity, frames
-        stored earlier included. The ids on the values are ignored; frame
+        stored earlier included. The ids on the values are ignored unless
+        keep_ids (the state reload path) is set: then each element is
+        stored under its own id, and an id that another identity holds,
+        in the store or in the batch, raises InvalidElement too. Frame
         records are stored as given, not copied, with their element_id
         set to the stored id. The spatial filter drops outside frames.
 
@@ -313,24 +323,35 @@ class LdmStore:
             if violations:
                 raise InvalidElement(violations)
         with self._lock.write():
-            self._check_batch_locked(elements)
+            self._check_batch_locked(elements, keep_ids)
             ids: list[ElementId] = []
             changed = frames = 0
             for e in elements:
-                eid = self._by_key.get((e.kind, e.name, e.semantic_type), self._next_id)
+                key = (e.kind, e.name, e.semantic_type)
+                eid = e.id if keep_ids else self._by_key.get(key, self._next_id)
                 created_or_changed, written = self._write_element_locked(e, eid)
                 ids.append(eid)
                 changed += created_or_changed
                 frames += written
             return ids, changed, frames
 
-    def _check_batch_locked(self, elements: list[SceneElement]) -> None:
+    def _check_batch_locked(self, elements: list[SceneElement], keep_ids: bool) -> None:
         """Merge layer, static names and dynamic names per identity over
         the stored element and the batch; raise InvalidElement on a layer
-        change or a name both static and dynamic."""
+        change or a name both static and dynamic, and with keep_ids on an
+        id that another identity holds."""
         merged: dict[tuple, tuple[LdmLayer, set, set]] = {}
+        # keep_ids: ids and identities must pair one to one, over the store
+        # and the batch.
+        id_of: dict[tuple, ElementId] = {}
+        key_of: dict[ElementId, tuple] = {}
         for e in elements:
             key = (e.kind, e.name, e.semantic_type)
+            if keep_ids:
+                if (self._by_key.get(key) != (e.id if e.id in self._entries else None)
+                        or id_of.setdefault(key, e.id) != e.id
+                        or key_of.setdefault(e.id, key) != key):
+                    raise InvalidElement([f"element id {e.id} or key {key} held by another element"])
             identity = merged.get(key)
             if identity is None:
                 eid = self._by_key.get(key)
@@ -355,22 +376,6 @@ class LdmStore:
                 raise InvalidElement(
                     [f"attribute overlap: {n}" for n in sorted(overlap)]
                 )
-
-    def restore_element(self, e: SceneElement) -> ElementId:
-        """Insert an element under its explicit id (state reload path).
-
-        Unlike upsert_element the id on the value is authoritative;
-        raises InvalidElement if the id or identity key is taken.
-        """
-        violations = validate_element(e)
-        if violations:
-            raise InvalidElement(violations)
-        with self._lock.write():
-            key = (e.kind, e.name, e.semantic_type)
-            if e.id in self._entries or key in self._by_key:
-                raise InvalidElement([f"element id {e.id} or key {key} already present"])
-            self._write_element_locked(e, e.id)
-            return e.id
 
     def _write_element_locked(self, e: SceneElement, eid: ElementId) -> tuple[bool, int]:
         """Write a checked element under eid: create its entry or merge
@@ -687,6 +692,7 @@ class LdmStore:
                 last_update=self._last_update,
                 evicted_total=self._evicted_total,
                 frame_count=frame_count,
+                next_id=self._next_id,
             )
 
 

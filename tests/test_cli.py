@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import chain_xml, offset_point
+from conftest import chain_xml, offset_point, osm_xml
 from ldm.cli import main, parse_config_text
 from ldm.errors import InvalidConfig
 from ldm.geo import GeoBox
@@ -101,6 +101,20 @@ class TestLoadMapAndIngest:
         code, out, _ = run_cli(capsys, "--db", workspace["db"], "info")
         values = {r["name"]: r["value"] for r in map(json.loads, out.splitlines())}
         assert values["elements.L1"] == 6
+
+    def test_load_map_warns_only_about_its_own_file(self, capsys, workspace):
+        nodes = [(n, *offset_point(100.0 * n, 0.0)) for n in (1, 2)]
+        road = {"highway": "residential"}
+        dirty = workspace["tmp"] / "a.osm"
+        dirty.write_bytes(osm_xml(nodes, [(9, [1, 2], road), (10, [1, 404], road)]))
+        clean = workspace["tmp"] / "b.osm"
+        clean.write_bytes(osm_xml(nodes, [(11, [2, 1], road)]))
+        code, _, err = run_cli(capsys, "--db", workspace["db"], "load-map", str(dirty))
+        assert code == 0 and "way 10" in err
+        code, out, err = run_cli(capsys, "--db", workspace["db"], "load-map", str(clean))
+        assert code == 0 and err == ""
+        assert json.loads(out.splitlines()[-1]) == {"nodes": 2, "ways": 1}
+        assert sorted(load_state(workspace["db"]).road_graph.ways) == [9, 11]
 
     def test_ingest_counts(self, capsys, workspace):
         code, out, _ = run_cli(capsys, "--db", workspace["db"], "ingest", str(workspace["scene"]))

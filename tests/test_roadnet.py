@@ -27,6 +27,7 @@ from ldm.roadnet import (
     RoadGraph,
     RoadNode,
     RoadWay,
+    graph_from_store,
     load_into_store,
     map_match,
     next_nodes,
@@ -147,6 +148,18 @@ class TestLoadIntoStore:
 
     def test_empty_graph(self):
         assert load_into_store(RoadGraph(), LdmStore()) == (0, 0)
+
+    def test_graph_from_store_inverts_it(self):
+        assert graph_from_store(LdmStore()) is None
+        for seed in range(5):
+            g = parse_osm(random_osm(random.Random(seed), n_ways=15))
+            store = LdmStore()
+            load_into_store(g, store)
+            back = graph_from_store(store)
+            assert list(back.nodes.items()) == list(g.nodes.items())
+            assert list(back.ways.items()) == list(g.ways.items())
+            assert back.adjacency == g.adjacency
+            assert (back._bboxes, back._cells, back._wide_ways) == (g._bboxes, g._cells, g._wide_ways)
 
     def test_way_reload_replaces_its_node_edges(self):
         nodes = [(n, *offset_point(100.0 * n, 0.0)) for n in (1, 2, 3, 4)]

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -82,12 +83,27 @@ class TestUpsert:
         assert store.get_element(eid).static_attributes == {"brand": "acme"}
         assert store.query_frames(eid, 0, 1 << 62) == []
 
-    def test_restore_element_preserves_id(self):
+    def test_keep_ids_preserves_id(self):
         store = LdmStore()
         e = element("car-7")
         e.id = 41
-        assert store.restore_element(e) == 41
+        assert store.upsert_elements([e], keep_ids=True)[0] == [41]
         assert store.upsert_element(element("car-8")) == 42
+
+    def test_keep_ids_rejects_an_id_held_by_another_identity(self):
+        store = LdmStore()
+        eid = store.upsert_element(element("car-7"))
+        clashes = [
+            [replace(element("car-8"), id=eid)],  # id stored under car-7
+            [replace(element("car-7"), id=eid + 1)],  # car-7 stored under eid
+            [replace(element("a"), id=9), replace(element("b"), id=9)],
+            [replace(element("a"), id=9), replace(element("a"), id=10)],
+        ]
+        for batch in clashes:
+            with pytest.raises(InvalidElement, match="held by another element"):
+                store.upsert_elements(batch, keep_ids=True)
+        assert [e.name for e in store.elements()] == ["car-7"]
+        assert store.upsert_elements([replace(element("car-7"), id=eid)], keep_ids=True)[0] == [eid]
 
 
 class TestInsertFrame:
@@ -493,8 +509,9 @@ class TestObjectsAt:
             elif op == "evict":
                 store.evict_expired(ts)
             else:
-                store.restore_element(SceneElement(1000 - n, kind, f"r-{n}", "x", layer, {"r": n},
-                                                   {ts: FrameRecord(ts, 1000 - n, pose)}))
+                store.upsert_elements([SceneElement(1000 - n, kind, f"r-{n}", "x", layer, {"r": n},
+                                                    {ts: FrameRecord(ts, 1000 - n, pose)})],
+                                      keep_ids=True)
         for at in sorted({t * US for _, _, t in ops} | {-1, 1 << 62}):
             got = sorted(store.objects_at(at), key=lambda e: e.element.id)
             assert got == [e for e in store.snapshot(at).entries
@@ -539,6 +556,14 @@ class TestConfigValidation:
         cfg = LdmConfig()
         cfg.ttl_per_layer[LdmLayer.L3_Transient] = 0.0
         with pytest.raises(InvalidConfig):
+            validate_config(cfg)
+
+    def test_finite_l1_ttl_rejected(self):
+        # L1 holds the road map; a pass with L1 = 10 s used to evict it
+        # from the store while the road graph kept it.
+        cfg = LdmConfig()
+        cfg.ttl_per_layer[LdmLayer.L1_Static] = 10.0
+        with pytest.raises(InvalidConfig, match="L1_Static"):
             validate_config(cfg)
 
     def test_inverted_filter_rejected(self):
