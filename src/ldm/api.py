@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import IO, Optional, Union
 
 from .errors import NoMap, NoPose, SinkError, UnknownNode, Unmatched
-from .geo import bearing_deg, haversine_m, heading_delta_deg
+from .geo import GeoBox, bearing_deg, disc_box, haversine_m, heading_delta_deg
 from .ingest import (
     ROOT_KEY,
     CommitCounts,
@@ -145,12 +145,13 @@ class LocalDynamicMap:
     def objects_within(self, ego: ElementId, radius_m: float, at: Timestamp) -> list[ObjectReport]:
         """All non-ego objects within radius_m (inclusive) of the ego
         position at `at`, ascending by (distance, element id)."""
-        if radius_m <= 0:
+        if not radius_m > 0:
             raise ValueError(f"radius must be > 0, got {radius_m}")
         _, ego_rec = self._positioned(ego, at)
+        ego_pose = ego_rec.pose
         rows = []
-        for element, rec in self._object_states(at, exclude=ego):
-            d = haversine_m(ego_rec.pose.lat, ego_rec.pose.lon, rec.pose.lat, rec.pose.lon)
+        for element, rec in self._object_states(at, disc_box(ego_pose.lat, ego_pose.lon, radius_m), exclude=ego):
+            d = haversine_m(ego_pose.lat, ego_pose.lon, rec.pose.lat, rec.pose.lon)
             if d <= radius_m:
                 rows.append(self._report(element, rec, distance_to_ego=d))
         rows.sort(key=lambda r: (r.distance_to_ego, r.element_id))
@@ -166,11 +167,8 @@ class LocalDynamicMap:
             return []
         # map_match returns a way only for positions inside its match box,
         # so objects outside the ego way's box cannot share its way.
-        box = graph.way_bbox(ego_match.way_id)
         rows = []
-        for element, rec in self._object_states(at, exclude=ego):
-            if not box.contains(rec.pose.lat, rec.pose.lon):
-                continue
+        for element, rec in self._object_states(at, graph.way_bbox(ego_match.way_id), exclude=ego):
             m = map_match(graph, rec.pose.lat, rec.pose.lon)
             if m is not None and m.way_id == ego_match.way_id:
                 rows.append(self._report(element, rec, matched_way=m.way_id))
@@ -272,13 +270,13 @@ class LocalDynamicMap:
     def objects_near_node(self, node_id: int, radius_m: float, at: Timestamp) -> list[ObjectReport]:
         """Objects within radius_m (inclusive) of a road node, ascending
         by (distance, element id)."""
-        if radius_m <= 0:
+        if not radius_m > 0:
             raise ValueError(f"radius must be > 0, got {radius_m}")
         if self.road_graph is None or node_id not in self.road_graph.nodes:
             raise UnknownNode(f"node {node_id} not in road graph")
         node = self.road_graph.nodes[node_id]
         rows = []
-        for element, rec in self._object_states(at):
+        for element, rec in self._object_states(at, disc_box(node.lat, node.lon, radius_m)):
             d = haversine_m(node.lat, node.lon, rec.pose.lat, rec.pose.lon)
             if d <= radius_m:
                 rows.append(self._report(element, rec, distance_to_node=d))
@@ -385,12 +383,12 @@ class LocalDynamicMap:
             raise NoPose(f"element {eid} has no pose at or before {at}")
         return element, rec
 
-    def _object_states(self, at: Timestamp, exclude: Optional[ElementId] = None):
-        """(element, latest positioned frame <= at) for every object."""
-        for entry in self.store.objects_at(at):
-            if entry.element.id == exclude or entry.frame.pose is None:
-                continue
-            yield entry.element, entry.frame
+    def _object_states(self, at: Timestamp, box: GeoBox, exclude: Optional[ElementId] = None):
+        """(element, latest frame <= at) for every object but `exclude`
+        whose latest frame has a pose in the box."""
+        for entry in self.store.objects_at(at, box):
+            if entry.element.id != exclude:
+                yield entry.element, entry.frame
 
     @staticmethod
     def _report(element: SceneElement, rec: FrameRecord, **extra) -> ObjectReport:

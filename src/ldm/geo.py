@@ -67,6 +67,22 @@ class GeoBox:
         )
 
 
+def disc_box(lat: float, lon: float, radius_m: float) -> GeoBox:
+    """A box holding every position within radius_m great-circle meters
+    of (lat, lon): the point inflated by the radius plus 1/16 of it plus
+    1 m, with every longitude where that box would wrap at the
+    antimeridian or span more than 60 degrees of longitude.
+
+    inflate_m's longitude margin, r / cos(lat) in radians, falls short
+    of the disc's half-width, asin(sin(r) / cos(lat)), by under 1/16
+    while r / cos(lat) is below 0.56 rad (32 degrees); the extra meter
+    covers rounding."""
+    box = GeoBox(lat, lon, lat, lon).inflate_m(radius_m * 17 / 16 + 1.0)
+    if box.min_lon <= -180.0 or box.max_lon >= 180.0 or box.max_lon - box.min_lon > 60.0:
+        return GeoBox(box.min_lat, -math.inf, box.max_lat, math.inf)
+    return box
+
+
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in meters between two WGS84 positions."""
     p1 = math.radians(lat1)

@@ -133,6 +133,16 @@ class Snapshot:
     relations: list[Relation]
 
 
+# Object grid: cells are GRID_CELL_DEG degrees of latitude by
+# GRID_CELL_DEG degrees of longitude (about 220 m north-south), a few per
+# object-query box at the radii the queries are asked with.
+GRID_CELL_DEG = 0.002
+
+
+def _grid_cell(lat: float, lon: float) -> tuple[int, int]:
+    return math.floor(lat / GRID_CELL_DEG), math.floor(lon / GRID_CELL_DEG)
+
+
 class _ReadHolds(threading.local):
     """How many read holds the current thread has on one RWLock."""
 
@@ -268,6 +278,16 @@ class LdmStore:
         self._next_id = 0
         self._last_update: Timestamp = 0
         self._evicted_total = 0
+        # Uniform grid over the pose of each Object entry's latest frame,
+        # for box reads at or after the last update. Writes only note the
+        # object in _grid_pending; the next grid read re-buckets the noted
+        # ones under the read lock and _grid_sync, so readers sync one at
+        # a time, and a reader past the sync sees a grid that no one
+        # changes until the next write.
+        self._grid: dict[tuple[int, int], dict[ElementId, _Entry]] = {}
+        self._grid_cell_of: dict[ElementId, tuple[int, int]] = {}
+        self._grid_pending: set[ElementId] = set()
+        self._grid_sync = threading.Lock()
 
     # -- locking helpers (exposed so composite writers stay atomic) --
 
@@ -394,6 +414,8 @@ class LdmStore:
             changed = any(k not in old or old[k] != v for k, v in e.static_attributes.items())
             if changed:
                 entry.element = replace(entry.element, static_attributes={**old, **e.static_attributes})
+        if e.frames and e.kind is ElementKind.Object:
+            self._grid_pending.add(eid)
         frames = 0
         for ts in sorted(e.frames):
             rec = e.frames[ts]
@@ -422,6 +444,8 @@ class LdmStore:
             overlap = rec.dynamic_attributes.keys() & entry.element.static_attributes.keys()
             if overlap:
                 raise AttributeOverlap("attribute overlap: " + ", ".join(sorted(overlap)))
+            if entry.element.kind is ElementKind.Object:
+                self._grid_pending.add(rec.element_id)
             return self._write_frame_locked(entry, rec)
 
     def _write_frame_locked(self, entry: _Entry, rec: FrameRecord) -> bool:
@@ -525,6 +549,8 @@ class LdmStore:
                 del entry.times[:n]
                 for rec in records:
                     del entry.frames[rec.timestamp]
+                if not entry.times and entry.element.kind is ElementKind.Object:
+                    self._grid_pending.add(eid)  # its latest frame went too
                 count += n
             for eid in dead_elements:
                 self._remove_element_locked(eid)
@@ -536,6 +562,10 @@ class LdmStore:
         del self._tables[entry.element.kind][entry.element.layer][eid]
         key = (entry.element.kind, entry.element.name, entry.element.semantic_type)
         self._by_key.pop(key, None)
+        self._grid_pending.discard(eid)
+        cell = self._grid_cell_of.pop(eid, None)
+        if cell is not None:
+            self._unbucket_locked(eid, cell)
         for rel_key in self._rels_by_element.pop(eid, set()):
             rel = self._relations.pop(rel_key, None)
             if rel is not None:
@@ -654,12 +684,22 @@ class LdmStore:
                 entries.append(SnapshotEntry(entry.element, rec))
             return Snapshot(at, entries, list(self._relations.values()))
 
-    def objects_at(self, at: Timestamp) -> list[SnapshotEntry]:
+    def objects_at(self, at: Timestamp, box: Optional[GeoBox] = None) -> list[SnapshotEntry]:
         """Every Object-kind element that has a frame at or before `at`,
         with the latest such frame: the Object entries of snapshot(at)
         whose frame is not None, in no set order and without the
-        relations."""
+        relations. Given a box, only the entries whose frame has a pose
+        in it.
+
+        A box read at or after the last update, with a finite box, visits
+        only the objects in the grid cells the box overlaps (after
+        re-bucketing the objects written since the previous such read);
+        any other read scans every object."""
         with self._lock.read():
+            # The sum is finite only if every bound is.
+            if box is not None and at >= self._last_update and math.isfinite(
+                    box.min_lat + box.min_lon + box.max_lat + box.max_lon):
+                return self._grid_entries_locked(box)
             out = []
             for table in self._tables[ElementKind.Object].values():
                 for entry in table.values():
@@ -667,8 +707,57 @@ class LdmStore:
                     if not times or times[0] > at:
                         continue
                     ts = times[-1] if times[-1] <= at else times[bisect_right(times, at) - 1]
-                    out.append(SnapshotEntry(entry.element, entry.frames[ts]))
+                    rec = entry.frames[ts]
+                    if box is not None and (rec.pose is None or not box.contains(rec.pose.lat, rec.pose.lon)):
+                        continue
+                    out.append(SnapshotEntry(entry.element, rec))
             return out
+
+    def _grid_entries_locked(self, box: GeoBox) -> list[SnapshotEntry]:
+        """objects_at's read at or after the last update, from the grid."""
+        with self._grid_sync:
+            for eid in self._grid_pending:
+                self._rebucket_locked(eid)
+            self._grid_pending.clear()
+        grid = self._grid
+        # Clamped to the range poses lie in.
+        i0, j0 = _grid_cell(max(box.min_lat, -90.0), max(box.min_lon, -180.0))
+        i1, j1 = _grid_cell(min(box.max_lat, 90.0), min(box.max_lon, 180.0))
+        if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(grid):
+            cells = [grid[(i, j)] for i in range(i0, i1 + 1) for j in range(j0, j1 + 1) if (i, j) in grid]
+        else:  # a box over more cells than are occupied
+            cells = [cell for (i, j), cell in grid.items() if i0 <= i <= i1 and j0 <= j <= j1]
+        out = []
+        for cell in cells:
+            for entry in cell.values():
+                rec = entry.frames[entry.times[-1]]
+                if box.contains(rec.pose.lat, rec.pose.lon):
+                    out.append(SnapshotEntry(entry.element, rec))
+        return out
+
+    def _rebucket_locked(self, eid: ElementId) -> None:
+        """Move a live Object entry to the cell of its latest frame's
+        pose, or out of the grid when that frame has no pose or it has
+        no frame left."""
+        entry = self._entries[eid]
+        rec = entry.frames[entry.times[-1]] if entry.times else None
+        cell = None if rec is None or rec.pose is None else _grid_cell(rec.pose.lat, rec.pose.lon)
+        old = self._grid_cell_of.get(eid)
+        if old == cell:
+            return
+        if old is not None:
+            self._unbucket_locked(eid, old)
+        if cell is not None:
+            self._grid.setdefault(cell, {})[eid] = entry
+            self._grid_cell_of[eid] = cell
+        else:
+            del self._grid_cell_of[eid]
+
+    def _unbucket_locked(self, eid: ElementId, cell: tuple[int, int]) -> None:
+        members = self._grid[cell]
+        del members[eid]
+        if not members:
+            del self._grid[cell]
 
     def stats(self) -> StoreStats:
         with self._lock.read():

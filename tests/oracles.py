@@ -106,15 +106,18 @@ def next_road_nodes(graph, lat, lon, heading, k):
 
 
 def object_states(store, at, exclude=None):
-    """(element, latest positioned frame <= at) from the raw frame log."""
+    """(element, latest frame <= at) from the raw frame log, for every
+    object whose latest frame <= at has a pose: an object last reported
+    without a pose is not placed at an older one."""
     out = []
     for element in store.elements():
         if element.kind is not ElementKind.Object or element.id == exclude:
             continue
         frames = [f for f in store.query_frames(element.id, 0, 1 << 62) if f.timestamp <= at]
-        frames = [f for f in frames if f.pose is not None]
         if frames:
-            out.append((element, max(frames, key=lambda f: f.timestamp)))
+            latest = max(frames, key=lambda f: f.timestamp)
+            if latest.pose is not None:
+                out.append((element, latest))
     return out
 
 

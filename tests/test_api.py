@@ -3,13 +3,23 @@ import math
 import random
 import threading
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BASE_LAT, BASE_LON, beside_segment, chain_xml, grid_graph, offset_point, random_scene
+from conftest import (
+    BASE_LAT,
+    BASE_LON,
+    beside_segment,
+    chain_xml,
+    grid_graph,
+    offset_point,
+    random_cpm,
+    random_scene,
+)
 from ldm import api
 from ldm.api import STATIONARY_SPEED_EPS, STATIONARY_WINDOW_S, LocalDynamicMap
 from ldm.errors import InvalidConfig, NoMap, NoPose, UnknownElement, UnknownNode, Unmatched
@@ -17,9 +27,10 @@ from ldm.geo import enu_to_wgs84
 from ldm.ingest import parse_openlabel
 from ldm.model import ElementKind, FrameRecord, GeoPose, LdmLayer, SceneElement
 from ldm.roadnet import RoadGraph, RoadNode, RoadWay, map_match, rebuild_adjacency
-from ldm.store import LdmConfig, SnapshotEntry
+from ldm.store import LdmConfig, LdmStore, SnapshotEntry
 
 T0 = 1_700_000_000_000_000
+US = 1_000_000  # microseconds per second
 
 
 def scene_with(objects):
@@ -244,13 +255,13 @@ class TestSameWayPrefilter:
         expected = oracles.objects_on_same_way(ldm.store, graph, ego, T0)
         if with_nan_poses:
             # The store rejects NaN positions, so add them after its read:
-            # they fail the box test as they fail inside map_match.
+            # they skip the store's box test, and fail inside map_match.
             objects_at = ldm.store.objects_at
             ghosts = [SnapshotEntry(SceneElement(10_000 + i, ElementKind.Object, f"nan{i}", "vehicle.car",
                                                  LdmLayer.L4_Dynamic),
                                     FrameRecord(T0, 10_000 + i, GeoPose(lat, lon)))
                       for i, (lat, lon) in enumerate(((math.nan, ego_pos[1]), (ego_pos[0], math.nan)))]
-            ldm.store.objects_at = lambda at: objects_at(at) + ghosts
+            ldm.store.objects_at = lambda at, box=None: objects_at(at, box) + ghosts
         assert [r.element_id for r in ldm.objects_on_same_way(ego, T0)] == expected
 
     def test_across_the_antimeridian(self):
@@ -289,6 +300,189 @@ class TestSameWayPrefilter:
         got = [r.element_id for r in ldm.objects_on_same_way(eid_of(ldm, "o0"), T0)]
         assert got == expected and len(got) >= 10
         assert len(calls) <= 1 + inside < 30
+
+
+GRID_TTL_S = 4.0
+GRID_CONFIG = {LdmLayer.L1_Static: math.inf, LdmLayer.L2_QuasiStatic: 30.0,
+               LdmLayer.L3_Transient: 10.0, LdmLayer.L4_Dynamic: GRID_TTL_S}
+
+
+@st.composite
+def grid_histories(draw):
+    """A same_way_scenes map and positions, a query radius, and steps
+    over six objects: commits of one to three frames, each a later frame,
+    an out-of-order one, a same-timestamp replacement or a pose-less
+    latest frame, and eviction passes at the last update plus 1, 3, 10 s
+    or the TTL exactly."""
+    graph, ego, others = draw(same_way_scenes())
+    positions = [ego, *others]
+    frame = st.tuples(st.integers(0, 5), st.sampled_from(["later", "older", "same", "poseless"]),
+                      st.integers(0, len(positions) - 1), st.integers(1, 3))
+    commit = st.tuples(st.just("commit"), st.lists(frame, min_size=1, max_size=3))
+    evict = st.tuples(st.just("evict"), st.sampled_from([1.0, 3.0, 10.0, GRID_TTL_S]))
+    steps = draw(st.lists(st.one_of(commit, commit, evict), min_size=1, max_size=10))
+    return graph, positions, steps, draw(st.sampled_from([20.0, 150.0, 3000.0, math.inf]))
+
+
+def grid_step(store, positions, step):
+    """Apply one grid_histories step to the store."""
+    last = store.stats().last_update or T0
+    if step[0] == "evict":
+        store.evict_expired(last + int(step[1] * US))
+        return
+    batch = []
+    for obj, how, pos, dt in step[1]:
+        name = f"o{obj}"
+        element = store.find_element(ElementKind.Object, name, "vehicle.car")
+        latest = store.latest_frame(element.id, 1 << 62) if element is not None else None
+        if how == "same" and latest is not None:
+            ts = latest.timestamp
+        else:
+            ts = last - dt * US if how == "older" else last + dt * US
+        pose = None if how == "poseless" else GeoPose(*positions[pos])
+        batch.append(SceneElement(0, ElementKind.Object, name, "vehicle.car", LdmLayer.L4_Dynamic, {},
+                                  {ts: FrameRecord(ts, 0, pose)}))
+    store.upsert_elements(batch)
+
+
+def check_box_queries(ldm, radius, at):
+    """The three box queries at `at` equal the oracles, for each object
+    positioned at `at` as the ego and for the first and last road node."""
+    store, graph = ldm.store, ldm.road_graph
+    for element, _ in oracles.object_states(store, at):
+        rows = ldm.objects_within(element.id, radius, at)
+        assert [(r.element_id, r.distance_to_ego) for r in rows] == \
+            oracles.objects_within(store, element.id, radius, at)
+        assert [r.element_id for r in ldm.objects_on_same_way(element.id, at)] == \
+            oracles.objects_on_same_way(store, graph, element.id, at)
+    for node in (min(graph.nodes), max(graph.nodes)):
+        rows = ldm.objects_near_node(node, radius, at)
+        assert [(r.element_id, r.distance_to_node) for r in rows] == \
+            oracles.objects_near_node(store, graph, node, radius, at)
+
+
+def kept_without_frames_case():
+    """o1 is created with a frame older than the last update, then every
+    frame of it expires at exactly the TTL after that update: the pass
+    keeps it, frameless, and the grid must let it go."""
+    nodes = {1: RoadNode(1, *offset_point(-100.0, 0.0)), 2: RoadNode(2, *offset_point(100.0, 0.0))}
+    graph = RoadGraph(nodes=nodes, ways={1: RoadWay(1, [1, 2])})
+    rebuild_adjacency(graph)
+    steps = [("commit", [(0, "later", 0, 1)]), ("commit", [(1, "older", 1, 2)]), ("evict", GRID_TTL_S)]
+    return graph, [offset_point(0.0, 5.0), offset_point(20.0, 0.0)], steps, 150.0
+
+
+class TestGridReads:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(grid_histories())
+    @example(kept_without_frames_case())
+    def test_box_queries_equal_the_oracles_after_every_step(self, case):
+        graph, positions, steps, radius = case
+        ldm = LocalDynamicMap(LdmConfig(ttl_per_layer=GRID_CONFIG))
+        ldm.road_graph = graph
+        for step in steps:
+            grid_step(ldm.store, positions, step)
+            last = ldm.store.stats().last_update
+            for at in (last, last - 2 * US):
+                check_box_queries(ldm, radius, at)
+
+    def test_an_object_kept_without_frames_leaves_the_grid(self):
+        graph, positions, steps, radius = kept_without_frames_case()
+        ldm = LocalDynamicMap(LdmConfig(ttl_per_layer=GRID_CONFIG))
+        ldm.road_graph = graph
+        for step in steps[:2]:
+            grid_step(ldm.store, positions, step)
+        o0, o1 = eid_of(ldm, "o0"), eid_of(ldm, "o1")
+        last = ldm.store.stats().last_update
+        assert [r.element_id for r in ldm.objects_within(o0, radius, last)] == [o1]
+        grid_step(ldm.store, positions, steps[2])
+        assert ldm.store.get_element(o1) and ldm.store.query_frames(o1, 0, 1 << 62) == []
+        assert ldm.objects_within(o0, radius, last) == []
+
+    def test_readers_beside_a_writer_equal_the_oracle(self, monkeypatch):
+        # Two readers query at the last update while a writer commits and
+        # runs an eviction pass. Each read holds the read lock over its
+        # query and its oracle, so both see one store state. A re-bucket
+        # is slowed to widen the sync, and no other sync or grid visit
+        # may run beside it.
+        ldm = LocalDynamicMap(LdmConfig(ttl_per_layer=GRID_CONFIG))
+        ldm.road_graph = grid_graph(4, spacing_m=200.0)
+        store = ldm.store
+        rng = random.Random(11)
+
+        def commit(ts, names):
+            store.upsert_elements([
+                SceneElement(0, ElementKind.Object, name, "vehicle.car", LdmLayer.L4_Dynamic, {},
+                             {ts: FrameRecord(ts, 0, GeoPose(*offset_point(rng.uniform(-400, 400),
+                                                                           rng.uniform(-400, 400))))})
+                for name in names])
+
+        names = [f"o{i}" for i in range(30)]
+        commit(T0, names)
+        syncing, clashes = [], []
+        rebucket = LdmStore._rebucket_locked
+
+        def slow_rebucket(self, eid):
+            syncing.append(eid)
+            if len(syncing) > 1:
+                clashes.append("two syncs at once")
+            time.sleep(0.0002)
+            syncing.pop()
+            rebucket(self, eid)
+
+        contains = api.GeoBox.contains
+
+        def watched_contains(self, lat, lon):
+            if syncing:
+                clashes.append("a grid visit during a sync")
+            return contains(self, lat, lon)
+
+        monkeypatch.setattr(LdmStore, "_rebucket_locked", slow_rebucket)
+        monkeypatch.setattr(api.GeoBox, "contains", watched_contains)
+        done = threading.Event()
+        reads, errors = [], []
+
+        def reader(seed):
+            r = random.Random(seed)
+            try:
+                while not done.is_set() or len(reads) < 20:
+                    with store.read_lock():
+                        at = store.stats().last_update
+                        if r.random() < 0.5:
+                            ego = r.choice(oracles.object_states(store, at))[0].id
+                            got = [(x.element_id, x.distance_to_ego) for x in ldm.objects_within(ego, 250.0, at)]
+                            assert got == oracles.objects_within(store, ego, 250.0, at)
+                        else:
+                            node = r.choice(sorted(ldm.road_graph.nodes))
+                            got = [(x.element_id, x.distance_to_node)
+                                   for x in ldm.objects_near_node(node, 250.0, at)]
+                            assert got == oracles.objects_near_node(store, ldm.road_graph, node, 250.0, at)
+                    reads.append(at)
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        def writer():
+            try:
+                for step in range(1, 41):
+                    commit(T0 + step * US // 10, rng.sample(names, 5))
+                    if step == 20:
+                        assert store.evict_expired(T0 + int(GRID_TTL_S * US) + US) > 0
+                    time.sleep(0.001)
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+            finally:
+                done.set()
+
+        threads = [threading.Thread(target=reader, args=(k,), daemon=True) for k in (1, 2)]
+        threads.append(threading.Thread(target=writer, daemon=True))
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30.0
+        for t in threads:
+            t.join(max(0.0, deadline - time.monotonic()))
+        assert not [t for t in threads if t.is_alive()]
+        assert errors == [] and clashes == []
+        assert len(set(reads)) > 5
 
 
 @st.composite
@@ -494,6 +688,50 @@ class TestObjectsNearNode:
             ldm.objects_near_node(99, 10.0, T0)
         with pytest.raises(UnknownNode):
             LocalDynamicMap().objects_near_node(1, 10.0, T0)
+
+
+class TestRadius:
+    def scene(self):
+        ldm = LocalDynamicMap()
+        ldm.load_map(chain_xml(n=3, spacing_m=100.0))
+        ldm.add_objects(scene_with({
+            "ego": [(T0, 0.0, 0.0, None, None), (T0 + US, 10.0, 0.0, None, None)],
+            "near": [(T0, 30.0, 0.0, None, None)],
+            "far": [(T0, 9_000_000.0, 0.0, None, None), (T0 + US, 9_000_000.0, 5.0, None, None)],
+            "blind": [(T0, 50.0, 0.0, None, None), (T0 + US, None, None, None, None)],
+        }))
+        return ldm
+
+    def test_nan_radius_raises(self):
+        ldm = self.scene()
+        with pytest.raises(ValueError):
+            ldm.objects_within(eid_of(ldm, "ego"), math.nan, T0 + US)
+        with pytest.raises(ValueError):
+            ldm.objects_near_node(1, math.nan, T0 + US)
+
+    def test_infinite_radius_returns_every_positioned_object(self):
+        ldm = self.scene()
+        ego = eid_of(ldm, "ego")
+        # At the last update "blind" has no pose; before it, it has one.
+        for at, names in ((T0 + US, {"near", "far"}), (T0, {"near", "far", "blind"})):
+            expected = {eid_of(ldm, n) for n in names}
+            assert {r.element_id for r in ldm.objects_within(ego, math.inf, at)} == expected
+            assert {r.element_id for r in ldm.objects_near_node(1, math.inf, at)} == expected | {ego}
+
+
+class TestReadmeQuickStart:
+    def test_the_cpm_line_commits_a_c6_message(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        imports = [line for line in lines if line.startswith(("from ", "import "))]
+        cpm_line = next(line for line in lines if "cpm_dict" in line).split("#")[0].strip()
+        assert cpm_line == "m.add_objects(parse_cpm(cpm_dict))"
+        cpm_dict = random_cpm(random.Random(606), n_objects=20, station_id=1, base_ts=T0)
+        namespace = {"m": LocalDynamicMap(), "cpm_dict": cpm_dict}
+        exec("\n".join(imports + [cpm_line]), namespace)
+        # The station and its 20 perceived objects.
+        assert namespace["m"].get_info()[0] == ("elements.total", 21)
 
 
 class TestExport:

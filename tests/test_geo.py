@@ -9,6 +9,7 @@ from ldm.geo import (
     EnuPoint,
     GeoBox,
     bearing_deg,
+    disc_box,
     enu_to_wgs84,
     haversine_m,
     heading_delta_deg,
@@ -167,3 +168,39 @@ class TestGeoBox:
         assert box.contains(0.0089, 0.0)
         assert box.contains(0.0, -0.0089)
         assert not box.contains(0.01, 0.0)
+
+
+def destination(lat, lon, bearing, distance_m):
+    """The great-circle destination, lon wrapped into [-180, 180)."""
+    p1, d, b = math.radians(lat), distance_m / 6_371_000.0, math.radians(bearing)
+    p2 = math.asin(math.sin(p1) * math.cos(d) + math.cos(p1) * math.sin(d) * math.cos(b))
+    dl = math.atan2(math.sin(b) * math.sin(d) * math.cos(p1), math.cos(d) - math.sin(p1) * math.sin(p2))
+    return math.degrees(p2), (lon + math.degrees(dl) + 180.0) % 360.0 - 180.0
+
+
+class TestDiscBox:
+    @settings(max_examples=500, deadline=None)
+    @given(point_st, st.floats(0.1, 5e6), st.floats(0.0, 1.0), st.floats(0.0, 360.0))
+    @example((89.999, 0.0), 100.0, 1.0, 90.0)
+    @example((0.0, 179.9995), 100.0, 1.0, 90.0)
+    @example((-65.0, -179.999), 3000.0, 1.0, 270.0)
+    def test_holds_every_position_within_the_radius(self, center, radius, share, bearing):
+        lat, lon = destination(*center, bearing, radius * share)
+        if haversine_m(*center, lat, lon) <= radius:
+            assert disc_box(*center, radius).contains(lat, lon)
+
+    def test_plain_inflation_misses_part_of_a_disc_near_the_pole(self):
+        center = (89.999, 0.0)
+        points = [destination(*center, b, 99.9) for b in range(0, 360, 5)]
+        naive = GeoBox(*center, *center).inflate_m(100.0)
+        assert not all(naive.contains(*p) for p in points)
+        assert all(disc_box(*center, 100.0).contains(*p) for p in points)
+
+    def test_wraps_to_every_longitude_only_where_it_must(self):
+        box = disc_box(47.6, -122.3, 150.0)
+        assert math.isfinite(box.min_lon) and math.isfinite(box.max_lon)
+        assert box.contains(47.6, -122.3) and not box.contains(47.6, -122.31)
+        for center in ((0.0, 179.9995), (0.0, -180.0), (89.999, 15.0)):
+            box = disc_box(*center, 150.0)
+            assert (box.min_lon, box.max_lon) == (-math.inf, math.inf)
+        assert disc_box(0.0, 0.0, math.inf) == GeoBox(-math.inf, -math.inf, math.inf, math.inf)
