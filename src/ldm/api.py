@@ -379,8 +379,10 @@ class LocalDynamicMap:
     def _positioned(self, eid: ElementId, at: Timestamp) -> tuple[SceneElement, FrameRecord]:
         element = self.store.get_element(eid)
         rec = self.store.latest_frame(eid, at)
-        if rec is None or rec.pose is None:
-            raise NoPose(f"element {eid} has no pose at or before {at}")
+        if rec is None:
+            raise NoPose(f"element {eid} has no frame at or before {at}")
+        if rec.pose is None:
+            raise NoPose(f"element {eid}: its latest frame at or before {at} has no pose")
         return element, rec
 
     def _object_states(self, at: Timestamp, box: GeoBox, exclude: Optional[ElementId] = None):

@@ -221,32 +221,6 @@ def serve(host: str, port: int, ldm: LocalDynamicMap) -> FeedServer:
 
 
 @dataclass
-class ScenarioEntry:
-    offset_ms: int
-    envelope: FeedEnvelope
-
-
-def load_scenario(source: Union[str, Path, IO]) -> list[ScenarioEntry]:
-    """Strictly parse a scenario file; FileError on any bad line."""
-    entries: list[ScenarioEntry] = []
-    last = 0
-    for lineno, line in enumerate(_read_lines(source), start=1):
-        if not line.strip():
-            continue
-        try:
-            body = json.loads(line)
-            offset = int(body["offset_ms"])
-            env = parse_envelope(body)
-        except (ValueError, KeyError, TypeError, LdmError) as exc:
-            raise FileError(f"scenario line {lineno}: {exc}") from exc
-        if offset < last:
-            raise FileError(f"scenario line {lineno}: offset {offset} decreases (last {last})")
-        last = offset
-        entries.append(ScenarioEntry(offset, env))
-    return entries
-
-
-@dataclass
 class ReplaySummary:
     messages: int = 0
     committed: int = 0

@@ -106,8 +106,7 @@ class SceneElement:
 
     frames maps timestamp -> FrameRecord and is input only: elements read
     from the store are static descriptors with no frames (read frames
-    through the store). frame_span is derived: the half-open
-    [min timestamp, max timestamp + 1), or None when purely static.
+    through the store).
     """
 
     id: ElementId
@@ -117,14 +116,6 @@ class SceneElement:
     layer: LdmLayer
     static_attributes: dict = field(default_factory=dict)
     frames: dict[Timestamp, FrameRecord] = field(default_factory=dict)
-
-    @property
-    def frame_span(self) -> Optional[tuple[int, int]]:
-        if not self.frames:
-            return None
-        lo = min(self.frames)
-        hi = max(self.frames)
-        return (lo, hi + 1)
 
     def dynamic_attribute_names(self) -> set[str]:
         names: set[str] = set()

@@ -1,12 +1,14 @@
 """Embedded temporal property-graph store.
 
-One process, in memory: elements keyed by id, frame records keyed by
-(element, timestamp), relations as deduplicated edges, layer-scoped TTL
+One process, in memory: elements keyed by id, each with its frame log
+in timestamp order, relations as deduplicated edges, layer-scoped TTL
 eviction, and consistent point-in-time snapshots.
 
 Locking contract: many concurrent readers or one writer. The lock is
 writer-preferring and reentrant within a thread, so composite writers
 (payload commits, eviction) can read while holding the write side.
+Readers never change store state: every index, the object grid
+included, is brought up to date by the write that moves it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import logging
 import math
 import os
 import threading
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -238,21 +240,23 @@ class RWLock:
 
 
 class _Entry:
-    """Mutable per-element storage: static descriptor, frame log keyed by
-    timestamp and the ascending list of those timestamps."""
+    """Mutable per-element storage: static descriptor, and the frame log
+    as the ascending list of timestamps beside their records."""
 
-    __slots__ = ("element", "frames", "times", "latest_ts", "dynamic_names")
+    __slots__ = ("element", "times", "recs", "latest_ts", "dynamic_names", "cell")
 
     def __init__(self, element: SceneElement, latest_ts: Timestamp):
         # Handed out to readers as is, so it is never mutated: a static
         # merge replaces it. It carries no frames.
         self.element = element
-        self.frames: dict[Timestamp, FrameRecord] = {}
         self.times: list[Timestamp] = []
+        self.recs: list[FrameRecord] = []
         self.latest_ts = latest_ts
         # Dynamic attribute names stay reserved for the element's
         # lifetime even if the frames carrying them are evicted.
         self.dynamic_names: set[str] = set()
+        # The object grid cell the entry is bucketed in, if any.
+        self.cell: Optional[tuple[int, int]] = None
 
 
 class LdmStore:
@@ -279,15 +283,9 @@ class LdmStore:
         self._last_update: Timestamp = 0
         self._evicted_total = 0
         # Uniform grid over the pose of each Object entry's latest frame,
-        # for box reads at or after the last update. Writes only note the
-        # object in _grid_pending; the next grid read re-buckets the noted
-        # ones under the read lock and _grid_sync, so readers sync one at
-        # a time, and a reader past the sync sees a grid that no one
-        # changes until the next write.
+        # for box reads at or after the last update. Every write that can
+        # move an object's latest frame re-buckets it under the write lock.
         self._grid: dict[tuple[int, int], dict[ElementId, _Entry]] = {}
-        self._grid_cell_of: dict[ElementId, tuple[int, int]] = {}
-        self._grid_pending: set[ElementId] = set()
-        self._grid_sync = threading.Lock()
 
     # -- locking helpers (exposed so composite writers stay atomic) --
 
@@ -414,15 +412,13 @@ class LdmStore:
             changed = any(k not in old or old[k] != v for k, v in e.static_attributes.items())
             if changed:
                 entry.element = replace(entry.element, static_attributes={**old, **e.static_attributes})
-        if e.frames and e.kind is ElementKind.Object:
-            self._grid_pending.add(eid)
         frames = 0
         for ts in sorted(e.frames):
             rec = e.frames[ts]
             rec.element_id = eid
-            before = entry.frames.get(ts)
-            if self._write_frame_locked(entry, rec) and rec != before:
-                frames += 1
+            frames += bool(self._write_frame_locked(entry, rec))
+        if e.frames and e.kind is ElementKind.Object:
+            self._rebucket_locked(entry)
         return changed, frames
 
     def insert_frame(self, rec: FrameRecord) -> bool:
@@ -444,31 +440,44 @@ class LdmStore:
             overlap = rec.dynamic_attributes.keys() & entry.element.static_attributes.keys()
             if overlap:
                 raise AttributeOverlap("attribute overlap: " + ", ".join(sorted(overlap)))
-            if entry.element.kind is ElementKind.Object:
-                self._grid_pending.add(rec.element_id)
-            return self._write_frame_locked(entry, rec)
+            stored = self._write_frame_locked(entry, rec) is not None
+            if stored and entry.element.kind is ElementKind.Object:
+                self._rebucket_locked(entry)
+            return stored
 
-    def _write_frame_locked(self, entry: _Entry, rec: FrameRecord) -> bool:
+    def _write_frame_locked(self, entry: _Entry, rec: FrameRecord) -> Optional[bool]:
         """Store a checked record unless the spatial filter drops it,
-        then trim the element to the frame cap."""
+        then trim the element to the frame cap. Returns None when the
+        filter drops it, else whether it differs from what was stored at
+        its timestamp."""
         box = self._config.spatial_filter
         if box is not None and rec.pose is not None:
             if not box.contains(rec.pose.lat, rec.pose.lon):
-                return False
+                return None
         ts = rec.timestamp
-        if ts not in entry.frames:
-            insort(entry.times, ts)
-        entry.frames[ts] = rec
+        times, recs = entry.times, entry.recs
+        changed = True
+        if not times or ts > times[-1]:
+            times.append(ts)
+            recs.append(rec)
+        else:
+            pos = bisect_left(times, ts)
+            if times[pos] == ts:
+                changed = recs[pos] != rec
+                recs[pos] = rec
+            else:
+                times.insert(pos, ts)
+                recs.insert(pos, rec)
         entry.dynamic_names.update(rec.dynamic_attributes)
         entry.latest_ts = max(entry.latest_ts, ts)
         self._last_update = max(self._last_update, ts)
 
         cap = self._config.max_frames_per_element
-        if cap is not None:
-            while len(entry.times) > cap:
-                del entry.frames[entry.times.pop(0)]
-                self._evicted_total += 1
-        return True
+        if cap is not None and len(times) > cap:
+            drop = len(times) - cap
+            del times[:drop], recs[:drop]
+            self._evicted_total += drop
+        return changed
 
     def add_relation(self, r: Relation) -> bool:
         """Store a relation edge; returns False for an exact duplicate,
@@ -535,7 +544,7 @@ class LdmStore:
                     for eid, entry in table.items():
                         pos = bisect_left(entry.times, cutoff)
                         if pos > 0:
-                            expired_frames[eid] = [entry.frames[t] for t in entry.times[:pos]]
+                            expired_frames[eid] = entry.recs[:pos]
                         if pos == len(entry.times) and now - entry.latest_ts > ttl:
                             dead_elements.append(eid)
 
@@ -546,11 +555,9 @@ class LdmStore:
             for eid, records in expired_frames.items():
                 entry = self._entries[eid]
                 n = len(records)
-                del entry.times[:n]
-                for rec in records:
-                    del entry.frames[rec.timestamp]
-                if not entry.times and entry.element.kind is ElementKind.Object:
-                    self._grid_pending.add(eid)  # its latest frame went too
+                del entry.times[:n], entry.recs[:n]
+                if not entry.recs and entry.element.kind is ElementKind.Object:
+                    self._rebucket_locked(entry)  # its latest frame went too
                 count += n
             for eid in dead_elements:
                 self._remove_element_locked(eid)
@@ -562,10 +569,7 @@ class LdmStore:
         del self._tables[entry.element.kind][entry.element.layer][eid]
         key = (entry.element.kind, entry.element.name, entry.element.semantic_type)
         self._by_key.pop(key, None)
-        self._grid_pending.discard(eid)
-        cell = self._grid_cell_of.pop(eid, None)
-        if cell is not None:
-            self._unbucket_locked(eid, cell)
+        self._unbucket_locked(entry)
         for rel_key in self._rels_by_element.pop(eid, set()):
             rel = self._relations.pop(rel_key, None)
             if rel is not None:
@@ -661,7 +665,7 @@ class LdmStore:
                 raise UnknownElement(f"element {element_id} not in store")
             lo = bisect_left(entry.times, start)
             hi = bisect_left(entry.times, end)
-            return [entry.frames[t] for t in entry.times[lo:hi]]
+            return entry.recs[lo:hi]
 
     def latest_frame(self, element_id: ElementId, at: Timestamp) -> Optional[FrameRecord]:
         """The element's most recent frame with timestamp <= at."""
@@ -670,9 +674,7 @@ class LdmStore:
             if entry is None:
                 raise UnknownElement(f"element {element_id} not in store")
             pos = bisect_right(entry.times, at)
-            if pos == 0:
-                return None
-            return entry.frames[entry.times[pos - 1]]
+            return entry.recs[pos - 1] if pos else None
 
     def snapshot(self, at: Timestamp) -> Snapshot:
         with self._lock.read():
@@ -680,7 +682,7 @@ class LdmStore:
             for eid in sorted(self._entries):
                 entry = self._entries[eid]
                 pos = bisect_right(entry.times, at)
-                rec = entry.frames[entry.times[pos - 1]] if pos else None
+                rec = entry.recs[pos - 1] if pos else None
                 entries.append(SnapshotEntry(entry.element, rec))
             return Snapshot(at, entries, list(self._relations.values()))
 
@@ -692,9 +694,8 @@ class LdmStore:
         in it.
 
         A box read at or after the last update, with a finite box, visits
-        only the objects in the grid cells the box overlaps (after
-        re-bucketing the objects written since the previous such read);
-        any other read scans every object."""
+        only the objects in the grid cells the box overlaps; any other
+        read scans every object."""
         with self._lock.read():
             # The sum is finite only if every bound is.
             if box is not None and at >= self._last_update and math.isfinite(
@@ -706,8 +707,7 @@ class LdmStore:
                     times = entry.times
                     if not times or times[0] > at:
                         continue
-                    ts = times[-1] if times[-1] <= at else times[bisect_right(times, at) - 1]
-                    rec = entry.frames[ts]
+                    rec = entry.recs[-1] if times[-1] <= at else entry.recs[bisect_right(times, at) - 1]
                     if box is not None and (rec.pose is None or not box.contains(rec.pose.lat, rec.pose.lon)):
                         continue
                     out.append(SnapshotEntry(entry.element, rec))
@@ -715,10 +715,6 @@ class LdmStore:
 
     def _grid_entries_locked(self, box: GeoBox) -> list[SnapshotEntry]:
         """objects_at's read at or after the last update, from the grid."""
-        with self._grid_sync:
-            for eid in self._grid_pending:
-                self._rebucket_locked(eid)
-            self._grid_pending.clear()
         grid = self._grid
         # Clamped to the range poses lie in.
         i0, j0 = _grid_cell(max(box.min_lat, -90.0), max(box.min_lon, -180.0))
@@ -730,34 +726,30 @@ class LdmStore:
         out = []
         for cell in cells:
             for entry in cell.values():
-                rec = entry.frames[entry.times[-1]]
+                rec = entry.recs[-1]
                 if box.contains(rec.pose.lat, rec.pose.lon):
                     out.append(SnapshotEntry(entry.element, rec))
         return out
 
-    def _rebucket_locked(self, eid: ElementId) -> None:
-        """Move a live Object entry to the cell of its latest frame's
-        pose, or out of the grid when that frame has no pose or it has
-        no frame left."""
-        entry = self._entries[eid]
-        rec = entry.frames[entry.times[-1]] if entry.times else None
-        cell = None if rec is None or rec.pose is None else _grid_cell(rec.pose.lat, rec.pose.lon)
-        old = self._grid_cell_of.get(eid)
-        if old == cell:
-            return
-        if old is not None:
-            self._unbucket_locked(eid, old)
-        if cell is not None:
-            self._grid.setdefault(cell, {})[eid] = entry
-            self._grid_cell_of[eid] = cell
-        else:
-            del self._grid_cell_of[eid]
+    def _rebucket_locked(self, entry: _Entry) -> None:
+        """Move an Object entry to the cell of its latest frame's pose, or
+        out of the grid when that frame has no pose or it has no frame
+        left."""
+        pose = entry.recs[-1].pose if entry.recs else None
+        cell = None if pose is None else _grid_cell(pose.lat, pose.lon)
+        if cell != entry.cell:
+            self._unbucket_locked(entry)
+            if cell is not None:
+                self._grid.setdefault(cell, {})[entry.element.id] = entry
+                entry.cell = cell
 
-    def _unbucket_locked(self, eid: ElementId, cell: tuple[int, int]) -> None:
-        members = self._grid[cell]
-        del members[eid]
-        if not members:
-            del self._grid[cell]
+    def _unbucket_locked(self, entry: _Entry) -> None:
+        if entry.cell is not None:
+            members = self._grid[entry.cell]
+            del members[entry.element.id]
+            if not members:
+                del self._grid[entry.cell]
+            entry.cell = None
 
     def stats(self) -> StoreStats:
         with self._lock.read():

@@ -10,6 +10,7 @@ from collections import deque
 
 import mpmath as mp
 
+from ldm.errors import NoPose
 from ldm.geo import EnuPoint, bearing_deg, haversine_m, project_to_segment, wgs84_to_enu
 from ldm.model import ElementKind
 
@@ -121,14 +122,23 @@ def object_states(store, at, exclude=None):
     return out
 
 
+def ego_pose(store, ego, at):
+    """The pose of the ego's latest frame at or before `at`, from the raw
+    frame log; NoPose when there is no such frame or it has no pose (an
+    ego is not placed at an older frame's pose)."""
+    frames = [f for f in store.query_frames(ego, 0, 1 << 62) if f.timestamp <= at]
+    latest = max(frames, key=lambda f: f.timestamp) if frames else None
+    if latest is None or latest.pose is None:
+        raise NoPose(f"element {ego}: no pose in its latest frame at or before {at}")
+    return latest.pose
+
+
 def objects_within(store, ego, radius_m, at):
     """Expected (element_id, distance) rows, sorted like the query."""
-    ego_frames = [f for f in store.query_frames(ego, 0, 1 << 62)
-                  if f.timestamp <= at and f.pose is not None]
-    ego_pose = max(ego_frames, key=lambda f: f.timestamp).pose
+    pose = ego_pose(store, ego, at)
     rows = []
     for element, rec in object_states(store, at, exclude=ego):
-        d = haversine_m(ego_pose.lat, ego_pose.lon, rec.pose.lat, rec.pose.lon)
+        d = haversine_m(pose.lat, pose.lon, rec.pose.lat, rec.pose.lon)
         if d <= radius_m:
             rows.append((element.id, d))
     rows.sort(key=lambda r: (r[1], r[0]))
@@ -147,10 +157,8 @@ def objects_near_node(store, graph, node_id, radius_m, at):
 
 
 def objects_on_same_way(store, graph, ego, at):
-    ego_frames = [f for f in store.query_frames(ego, 0, 1 << 62)
-                  if f.timestamp <= at and f.pose is not None]
-    ego_pose = max(ego_frames, key=lambda f: f.timestamp).pose
-    ego_match = match_point(graph, ego_pose.lat, ego_pose.lon)
+    pose = ego_pose(store, ego, at)
+    ego_match = match_point(graph, pose.lat, pose.lon)
     if ego_match is None:
         return []
     rows = []

@@ -124,6 +124,28 @@ class TestObjectsWithin:
         with pytest.raises(UnknownElement):
             ldm.objects_within(999, 10.0, T0)
 
+    def test_ego_whose_latest_frame_has_no_pose_raises_in_api_and_oracle(self):
+        # The ego was positioned at T0 but not at its latest frame: it is
+        # not placed at the older pose, by the query or by the oracle.
+        ldm = LocalDynamicMap()
+        ldm.road_graph = grid_graph(2, spacing_m=200.0)
+        ldm.add_objects(scene_with({
+            "ego": [(T0, 0.0, 0.0, None, None), (T0 + US, None, None, None, None)],
+            "near": [(T0, 0.0, 5.0, None, None), (T0 + US, 0.0, 5.0, None, None)],
+        }))
+        ego, near = eid_of(ldm, "ego"), eid_of(ldm, "near")
+        rows = ldm.objects_within(ego, 50.0, T0)
+        assert [r.element_id for r in rows] == [near]
+        assert [(r.element_id, r.distance_to_ego) for r in rows] == oracles.objects_within(ldm.store, ego, 50.0, T0)
+        for query, oracle in ((lambda: ldm.objects_within(ego, 50.0, T0 + US),
+                               lambda: oracles.objects_within(ldm.store, ego, 50.0, T0 + US)),
+                              (lambda: ldm.objects_on_same_way(ego, T0 + US),
+                               lambda: oracles.objects_on_same_way(ldm.store, ldm.road_graph, ego, T0 + US))):
+            with pytest.raises(NoPose, match="latest frame"):
+                query()
+            with pytest.raises(NoPose):
+                oracle()
+
     def test_matches_oracle_on_random_scene(self, rng):
         ldm = LocalDynamicMap()
         ldm.add_objects(random_scene(rng, max_objects=25, max_frames=30, base_ts=T0))
@@ -402,9 +424,9 @@ class TestGridReads:
     def test_readers_beside_a_writer_equal_the_oracle(self, monkeypatch):
         # Two readers query at the last update while a writer commits and
         # runs an eviction pass. Each read holds the read lock over its
-        # query and its oracle, so both see one store state. A re-bucket
-        # is slowed to widen the sync, and no other sync or grid visit
-        # may run beside it.
+        # query and its oracle, so both see one store state. Every
+        # re-bucket must run on the thread that holds the write side; one
+        # is slowed to widen it, and no grid visit may run beside it.
         ldm = LocalDynamicMap(LdmConfig(ttl_per_layer=GRID_CONFIG))
         ldm.road_graph = grid_graph(4, spacing_m=200.0)
         store = ldm.store
@@ -419,22 +441,22 @@ class TestGridReads:
 
         names = [f"o{i}" for i in range(30)]
         commit(T0, names)
-        syncing, clashes = [], []
+        rebucketing, clashes = [], []
         rebucket = LdmStore._rebucket_locked
 
-        def slow_rebucket(self, eid):
-            syncing.append(eid)
-            if len(syncing) > 1:
-                clashes.append("two syncs at once")
+        def slow_rebucket(self, entry):
+            if self._lock._writer != threading.get_ident():
+                clashes.append("a re-bucket outside the write side")
+            rebucketing.append(entry)
             time.sleep(0.0002)
-            syncing.pop()
-            rebucket(self, eid)
+            rebucketing.pop()
+            rebucket(self, entry)
 
         contains = api.GeoBox.contains
 
         def watched_contains(self, lat, lon):
-            if syncing:
-                clashes.append("a grid visit during a sync")
+            if rebucketing:
+                clashes.append("a grid visit during a re-bucket")
             return contains(self, lat, lon)
 
         monkeypatch.setattr(LdmStore, "_rebucket_locked", slow_rebucket)

@@ -11,7 +11,7 @@ from conftest import random_cpm
 import ldm.feed as feed
 from ldm.api import LocalDynamicMap
 from ldm.errors import FileError
-from ldm.feed import FeedServer, handle_line, load_scenario, replay, serve
+from ldm.feed import FeedServer, handle_line, replay, serve
 
 T0 = 1_700_000_000_000_000
 
@@ -211,22 +211,6 @@ class TestReplay:
         summary = replay(io.StringIO("\n".join(lines)), math.inf, LocalDynamicMap())
         assert summary.errors == 1
         assert summary.committed == 2
-
-
-class TestLoadScenario:
-    def test_strict_parse(self):
-        entries = load_scenario(io.StringIO(scenario_text(5, step_ms=10)))
-        assert len(entries) == 5
-        assert [e.offset_ms for e in entries] == [0, 10, 20, 30, 40]
-        assert entries[0].envelope.msg_type == "cpm"
-
-    def test_decreasing_offsets_rejected(self):
-        lines = scenario_text(3, step_ms=10).splitlines()
-        body = json.loads(lines[2])
-        body["offset_ms"] = 0
-        lines[2] = json.dumps(body)
-        with pytest.raises(FileError):
-            load_scenario(io.StringIO("\n".join(lines)))
 
 
 class TestFuzzSmoke:

@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ldm.model import (
     ElementKind,
@@ -64,11 +62,3 @@ class TestValidateElement:
     def test_mismatched_element_id_is_reported(self):
         e = make_element(frames={100: frame(100, eid=9)})
         assert any("element_id" in v for v in validate_element(e))
-
-
-class TestSceneElement:
-    @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=20, unique=True))
-    @settings(max_examples=200)
-    def test_span_covers_min_to_max(self, timestamps):
-        e = make_element(frames={ts: frame(ts) for ts in timestamps})
-        assert e.frame_span == (min(timestamps), max(timestamps) + 1)

@@ -83,6 +83,21 @@ class TestUpsert:
         assert store.get_element(eid).static_attributes == {"brand": "acme"}
         assert store.query_frames(eid, 0, 1 << 62) == []
 
+    def test_frame_count_is_the_frames_that_changed_the_log(self):
+        # A frame at a stored timestamp replaces the record there: an
+        # equal record counts no change, a different one counts one.
+        store = LdmStore()
+
+        def commit(*frames):
+            e = element("car-7")
+            e.frames = {f.timestamp: f for f in frames}
+            return store.upsert_elements([e])[2]
+
+        assert commit(rec(0, 200), rec(0, 400)) == 2
+        assert commit(rec(0, 300), rec(0, 200)) == 1
+        assert commit(rec(0, 400, attrs={"v": 1})) == 1
+        assert store.query_frames(0, 0, 1000) == [rec(0, 200), rec(0, 300), rec(0, 400, attrs={"v": 1})]
+
     def test_keep_ids_preserves_id(self):
         store = LdmStore()
         e = element("car-7")
@@ -485,11 +500,11 @@ class TestObjectsAt:
         assert len(searches) == 2000
 
     def test_a_box_read_at_the_latest_update_visits_only_the_box_cells(self, monkeypatch):
-        # 2,000 objects over a 20 km square. A read at the last update
-        # visits the objects in the cells its box overlaps; the first one
-        # buckets every object, and a later one re-buckets only the
-        # objects written since. An earlier read, or an infinite box,
-        # scans every object and syncs nothing.
+        # 2,000 objects over a 20 km square. A write re-buckets the
+        # objects whose latest frame it changed, and a read re-buckets
+        # none. A read at the last update visits the objects in the cells
+        # its box overlaps; an earlier read, or an infinite box, scans
+        # every object.
         rng = random.Random(5)
         lat0, lon0 = 47.6, -122.3
         poses = [GeoPose(*enu_to_wgs84(lat0, lon0, rng.uniform(-10_000, 10_000), rng.uniform(-10_000, 10_000),
@@ -499,36 +514,43 @@ class TestObjectsAt:
             return [SceneElement(0, ElementKind.Object, f"car-{i}", "vehicle.car", LdmLayer.L4_Dynamic, {},
                                  {ts: FrameRecord(ts, 0, poses[i])}) for i in which]
 
+        rebucketed, visits = [], []
+        rebucket = LdmStore._rebucket_locked
+        monkeypatch.setattr(LdmStore, "_rebucket_locked",
+                            lambda self, entry: rebucketed.append(entry.element.id) or rebucket(self, entry))
         store = LdmStore()
         ids = store.upsert_elements(moves(100, range(2000)))[0]
+        assert sorted(rebucketed) == sorted(ids) and len(ids) == 2000
         box = disc_box(lat0, lon0, 300.0)
         cell = store_module._grid_cell
         (i0, j0), (i1, j1) = cell(box.min_lat, box.min_lon), cell(box.max_lat, box.max_lon)
         in_cells = sum(i0 <= i <= i1 and j0 <= j <= j1 for i, j in (cell(p.lat, p.lon) for p in poses))
         inside = sorted(eid for eid, p in zip(ids, poses) if box.contains(p.lat, p.lon))
-
-        rebucketed, visits = [], []
-        rebucket = LdmStore._rebucket_locked
-        monkeypatch.setattr(LdmStore, "_rebucket_locked", lambda self, eid: rebucketed.append(eid) or rebucket(self, eid))
         contains = GeoBox.contains
         monkeypatch.setattr(GeoBox, "contains", lambda self, lat, lon: visits.append(1) or contains(self, lat, lon))
+
+        def write(ts, i):
+            rebucketed.clear()
+            poses[i] = GeoPose(lat0, lon0)
+            store.upsert_elements(moves(ts, [i]))
+            return rebucketed == [ids[i]]
 
         def read(at, query_box=box):
             rebucketed.clear()
             visits.clear()
-            return sorted(e.element.id for e in store.objects_at(at, query_box))
+            got = sorted(e.element.id for e in store.objects_at(at, query_box))
+            assert rebucketed == []
+            return got
 
         assert read(100) == inside and inside
-        assert len(rebucketed) == 2000 and len(visits) == in_cells < 40
-        assert read(100) == inside and rebucketed == [] and len(visits) == in_cells
-        poses[7] = GeoPose(lat0, lon0)
-        store.upsert_elements(moves(200, [7]))
-        assert read(200) == sorted({*inside, ids[7]}) and rebucketed == [ids[7]]
-        poses[8] = GeoPose(lat0, lon0)
-        store.upsert_elements(moves(300, [8]))
-        assert read(299) == sorted({*inside, ids[7]}) and rebucketed == [] and len(visits) == 2000
+        assert len(visits) == in_cells < 40
+        assert read(100) == inside and len(visits) == in_cells
+        assert write(200, 7)
+        assert read(200) == sorted({*inside, ids[7]})
+        assert write(300, 8)
+        assert read(299) == sorted({*inside, ids[7]}) and len(visits) == 2000
         assert len(read(300, GeoBox(-90.0, -math.inf, 90.0, math.inf))) == 2000
-        assert rebucketed == [] and len(visits) == 2000
+        assert len(visits) == 2000
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["upsert", "merge", "frame", "evict", "restore"]),
