@@ -37,7 +37,7 @@ from .model import (
     SceneElement,
     Timestamp,
 )
-from .roadnet import RoadGraph, graph_from_store, load_into_store, map_match, next_nodes, parse_osm
+from .roadnet import RoadGraph, graph_from_store, load_into_store, map_match, next_nodes, parse_osm, segments_near
 from .store import LdmConfig, LdmStore, Snapshot
 
 # Stationary-object query defaults: how far back to look and how fast an
@@ -165,13 +165,15 @@ class LocalDynamicMap:
         ego_match = map_match(graph, ego_rec.pose.lat, ego_rec.pose.lon)
         if ego_match is None:
             return []
-        # map_match returns a way only for positions inside its match box,
-        # so objects outside the ego way's box cannot share its way.
+        # map_match returns a way only for positions inside its match box
+        # that segments_near keeps for one of its segments.
+        way_id, box = ego_match.way_id, graph.way_bbox(ego_match.way_id)
         rows = []
-        for element, rec in self._object_states(at, graph.way_bbox(ego_match.way_id), exclude=ego):
-            m = map_match(graph, rec.pose.lat, rec.pose.lon)
-            if m is not None and m.way_id == ego_match.way_id:
-                rows.append(self._report(element, rec, matched_way=m.way_id))
+        for element, rec in self._object_states(at, box, exclude=ego):
+            lat, lon = rec.pose.lat, rec.pose.lon
+            m = map_match(graph, lat, lon) if any(segments_near(graph, way_id, box, lat, lon)) else None
+            if m is not None and m.way_id == way_id:
+                rows.append(self._report(element, rec, matched_way=way_id))
         rows.sort(key=lambda r: r.element_id)
         return rows
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import signal
 import sys
 import threading
@@ -199,7 +200,9 @@ def _run_query(ldm: LocalDynamicMap, args) -> None:
         _print_reports(rows, args.pretty)
 
 
-def _run_serve(ldm: LocalDynamicMap, args) -> None:
+def _run_serve(ldm: LocalDynamicMap, args) -> int:
+    """Serve until a signal, or until the acceptor or the eviction timer
+    dies; returns the exit code."""
     host, _, port = args.listen.rpartition(":")
     server = feed_mod.serve(host or "127.0.0.1", int(port), ldm)
     evictor = None
@@ -216,9 +219,13 @@ def _run_serve(ldm: LocalDynamicMap, args) -> None:
     except ValueError:
         pass  # not the main thread; Ctrl+C still raises below
     print(f"listening on {server.host}:{server.port}", file=sys.stderr)
+    threads = {"acceptor": server, "eviction timer": evictor}
+    dead = None
     try:
-        while not stop.wait(0.5):
-            pass
+        while dead is None and not stop.wait(0.5):
+            dead = next((name for name, t in threads.items() if t is not None and not t.is_alive()), None)
+        if dead is not None:
+            logging.getLogger("ldm").error("the %s thread died; shutting down", dead)
     except KeyboardInterrupt:
         pass
     finally:
@@ -228,6 +235,7 @@ def _run_serve(ldm: LocalDynamicMap, args) -> None:
         server.close()
         if evictor is not None:
             evictor.stop()
+    return 0 if dead is None else 1
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -245,7 +253,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             ldm = LocalDynamicMap(cfg)
 
-        mutated = False
+        mutated, code = False, 0
         if args.command == "info":
             for name, value in ldm.get_info():
                 if args.pretty:
@@ -286,11 +294,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             _run_query(ldm, args)
         elif args.command == "serve":
             mutated = True
-            _run_serve(ldm, args)
+            code = _run_serve(ldm, args)
 
         if mutated and args.db:
             save_state(ldm, args.db)
-        return 0
+        return code
     except (LdmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,9 @@ handle_line().
 
 from __future__ import annotations
 
+import errno
 import json
+import logging
 import math
 import socket
 import threading
@@ -124,8 +126,15 @@ class FeedServer:
                 conn, _addr = self._sock.accept()
             except TimeoutError:
                 continue
-            except OSError:
-                break
+            except OSError as exc:
+                # Out of descriptors or buffers, or a connection aborted
+                # before accept: log, back off and accept again. close()
+                # stops the loop before it closes the socket.
+                if not self._stopping.is_set():
+                    logging.getLogger("ldm").warning(
+                        "accept failed (%s): %s", errno.errorcode.get(exc.errno, exc.errno), exc)
+                    self._stopping.wait(0.1)
+                continue
             conn.settimeout(None)
             # Started under the lock, so close() never sees an unstarted
             # handler; finished ones are dropped here.
@@ -138,6 +147,10 @@ class FeedServer:
                 handler = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
                 handler.start()
                 self._handlers.append(handler)
+
+    def is_alive(self) -> bool:
+        """Whether the acceptor thread still runs."""
+        return self._acceptor.is_alive()
 
     def _serve_conn(self, conn: socket.socket):
         buf = b""

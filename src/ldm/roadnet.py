@@ -12,8 +12,8 @@ import math
 import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, product
-from typing import IO, Iterable, Optional, Union
+from itertools import chain, pairwise, product
+from typing import IO, Iterable, Iterator, Optional, Union
 
 from .errors import MalformedDocument, UnknownNode
 from .geo import (
@@ -344,6 +344,24 @@ def next_nodes(graph: RoadGraph, from_id: int, heading: float, k: int) -> list[i
     return result
 
 
+def segments_near(graph: RoadGraph, way_id: int, box: GeoBox, lat: float, lon: float,
+                  threshold_m: float = MATCH_THRESHOLD_M) -> Iterator[tuple[int, RoadNode, RoadNode]]:
+    """(index, start node, end node) of each segment of the way whose node
+    box, grown by threshold_m in degrees at lat, holds the position; box is
+    the way's match box, and where it takes every longitude only latitude
+    is tested. The margins are padded by 1e-9 of threshold_m plus 1e-6 m:
+    rounding in degrees and cos(lat) (~1e-15 relative) and in the
+    projection's foot (~1e-8 m) move a distance by far less."""
+    mlat = math.degrees((threshold_m * (1.0 + 1e-9) + 1e-6) / EARTH_RADIUS_M)
+    cos_lat = abs(math.cos(math.radians(lat)))
+    mlon = mlat / cos_lat if cos_lat and box.min_lon > -math.inf else math.inf
+    lat0, lat1, lon0, lon1 = lat - mlat, lat + mlat, lon - mlon, lon + mlon
+    for i, (a, b) in enumerate(pairwise(map(graph.nodes.__getitem__, graph.ways[way_id].node_refs))):
+        if ((a.lat >= lat0 or b.lat >= lat0) and (a.lat <= lat1 or b.lat <= lat1)
+                and (a.lon >= lon0 or b.lon >= lon0) and (a.lon <= lon1 or b.lon <= lon1)):
+            yield i, a, b
+
+
 def map_match(
     graph: RoadGraph,
     lat: float,
@@ -355,25 +373,28 @@ def map_match(
 
     Candidate ways are those whose match box (way_bbox) contains the
     position; the way-cell index lists them without visiting the rest of
-    the map. Segments are measured in the
-    position's ENU frame, as wgs84_to_enu computes it. Returns None for
-    a position that is not finite, and when every segment is further
-    than threshold_m. Near-ties (within 1e-9 m) resolve to the lower
-    (way id, segment index).
+    the map. Of those, the segments that segments_near keeps are measured
+    in the position's ENU frame, as wgs84_to_enu computes it. That drops
+    no segment within threshold_m: in a finite match box the frame is
+    affine in (lat, lon) (east = R*dlon*cos(lat), north = R*dlat, no
+    wrap), so such a segment's nearest point lies in its node box and
+    within threshold_m in degrees of the position.
+    Returns None for a position that is not finite, and when every
+    segment is further than threshold_m. Near-ties (within 1e-9 m)
+    resolve to the lower (way id, segment index).
     """
     if not (math.isfinite(lat) and math.isfinite(lon)):
         return None
     candidates: list[tuple[float, int, int]] = []
     origin = EnuPoint(0.0, 0.0)
     cos_lat = math.cos(math.radians(lat))
-    nodes = graph.nodes
     for way_id in graph.ways_near(lat, lon):
-        if not graph.way_bbox(way_id).contains(lat, lon):
+        box = graph.way_bbox(way_id)
+        if not box.contains(lat, lon):
             continue
-        pts = [enu_offset(lat, lon, cos_lat, n.lat, n.lon)
-               for n in map(nodes.__getitem__, graph.ways[way_id].node_refs)]
-        for i, (ea, eb) in enumerate(zip(pts, pts[1:])):
-            proj = project_to_segment(origin, ea, eb)
+        for i, a, b in segments_near(graph, way_id, box, lat, lon, threshold_m):
+            proj = project_to_segment(origin, enu_offset(lat, lon, cos_lat, a.lat, a.lon),
+                                      enu_offset(lat, lon, cos_lat, b.lat, b.lon))
             if proj.distance_m <= threshold_m:
                 candidates.append((proj.distance_m, way_id, i))
     if not candidates:

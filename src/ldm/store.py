@@ -25,7 +25,6 @@ from .errors import (
     AttributeOverlap,
     InvalidConfig,
     InvalidElement,
-    LdmError,
     SinkError,
     UnknownElement,
 )
@@ -794,9 +793,13 @@ class EvictionTimer:
         while not self._stop.wait(self._period):
             try:
                 self._store.evict_expired(now_us())
-            except (LdmError, OSError):
-                # Nothing was evicted; the next pass retries on schedule.
+            except Exception:  # noqa: BLE001 - a failed pass must not end the timer
+                # The next pass retries on schedule.
                 logging.getLogger("ldm").exception("eviction pass failed")
+
+    def is_alive(self) -> bool:
+        """Whether the timer thread still runs."""
+        return self._thread.is_alive()
 
     def stop(self):
         self._stop.set()

@@ -323,6 +323,25 @@ class TestSameWayPrefilter:
         assert got == expected and len(got) >= 10
         assert len(calls) <= 1 + inside < 30
 
+    def test_objects_far_from_every_ego_way_segment_are_not_matched(self, monkeypatch):
+        # An L-shaped way: its match box holds the corner across from the
+        # bend and the area beyond its ends, both over 50 m from it.
+        nodes = {i: RoadNode(i, *offset_point(east, north))
+                 for i, (east, north) in enumerate(((0.0, 0.0), (300.0, 0.0), (300.0, 300.0)))}
+        graph = RoadGraph(nodes=nodes, ways={4: RoadWay(4, [0, 1, 2])})
+        rebuild_adjacency(graph)
+        positions = [offset_point(100.0, 3.0), offset_point(150.0, -4.0), offset_point(296.0, 200.0),
+                     offset_point(50.0, 250.0), offset_point(-70.0, 0.0), offset_point(300.0, 360.0)]
+        assert all(graph.way_bbox(4).contains(*p) for p in positions)
+        ldm = LocalDynamicMap()
+        ldm.road_graph = graph
+        ldm.add_objects(positions_doc(positions))
+        matched = []
+        monkeypatch.setattr(api, "map_match", lambda g, lat, lon: matched.append((lat, lon)) or map_match(g, lat, lon))
+        rows = ldm.objects_on_same_way(eid_of(ldm, "o0"), T0)
+        assert [r.name for r in rows] == ["o1", "o2"]
+        assert matched[0] == positions[0] and sorted(matched[1:]) == sorted(positions[1:3])
+
 
 GRID_TTL_S = 4.0
 GRID_CONFIG = {LdmLayer.L1_Static: math.inf, LdmLayer.L2_QuasiStatic: 30.0,

@@ -1,5 +1,7 @@
 import json
+import logging
 import math
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,7 @@ from ldm.cli import main, parse_config_text
 from ldm.errors import InvalidConfig
 from ldm.geo import GeoBox
 from ldm.model import LdmLayer
-from ldm.state import load_state
+from ldm.state import SCENE_FILE, load_state
 
 T0 = 1_700_000_000_000_000
 
@@ -286,6 +288,17 @@ class TestServeCommand:
         from ldm.model import ElementKind
 
         assert back.store.find_element(ElementKind.Object, "station-5", "v2x.station") is not None
+
+
+    def test_a_dead_acceptor_saves_state_and_exits_non_zero(self, workspace, monkeypatch, caplog):
+        from ldm import feed
+
+        monkeypatch.setattr(feed.FeedServer, "_accept_loop", lambda self: None)
+        with caplog.at_level(logging.ERROR, logger="ldm"):
+            code = main(["--db", workspace["db"], "serve", "--listen", "127.0.0.1:0", "--no-evict"])
+        assert code == 1
+        assert any("acceptor" in r.getMessage() for r in caplog.records if r.name == "ldm")
+        assert (Path(workspace["db"]) / SCENE_FILE).exists()  # saved as on a clean shutdown
 
 
 class TestConfigFlag:

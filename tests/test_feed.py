@@ -1,6 +1,9 @@
+import errno
 import io
 import json
+import logging
 import math
+import os
 import random
 import socket
 import threading
@@ -162,6 +165,39 @@ class TestServer:
                 assert client.send_line(cpm_line(n_objects=1, station_id=station))["ok"] is True
                 client.close()
             assert len(server._handlers) < 10
+
+
+class FlakyListener:
+    """A listening socket whose first accept() fails as if the process
+    were out of file descriptors."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.failed = False
+
+    def accept(self):
+        if not self.failed:
+            self.failed = True
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return self._sock.accept()
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestAcceptErrors:
+    def test_a_failed_accept_is_logged_and_the_next_client_served(self, caplog):
+        ldm = LocalDynamicMap()
+        server = FeedServer("127.0.0.1", 0, ldm)
+        server._sock = FlakyListener(server._sock)
+        with caplog.at_level(logging.WARNING, logger="ldm"), server.start():
+            client = SocketClient(server.host, server.port)
+            ack = client.send_line(cpm_line(n_objects=1, station_id=6))
+            client.close()
+            assert server.is_alive()
+        assert server._sock.failed and ack["ok"] is True
+        assert any("EMFILE" in r.getMessage() for r in caplog.records if r.name == "ldm")
+        assert not server.is_alive()
 
 
 class TestReplay:

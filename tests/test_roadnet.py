@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -381,9 +381,36 @@ def maps_and_points(draw):
     return graph, points, threshold
 
 
+def threshold_edge(a, b, east=1.0, north=1.0):
+    """A case for test_indexed_match_equals_full_scan: a way from a to b
+    ((lat, lon) pairs), and positions MATCH_THRESHOLD_M meters from b
+    along east, along north and diagonally, with the signs given. b is
+    the corner of the segment's node box that faces them, so b is the
+    way's point nearest each. The threshold is the first position's
+    distance as the full scan measures it: that position lies on the
+    edge of the pre-test box, and the others within rounding of it."""
+    graph = RoadGraph(nodes={1: RoadNode(1, *a), 2: RoadNode(2, *b)}, ways={1: RoadWay(1, [1, 2])})
+    rebuild_adjacency(graph)
+    d = MATCH_THRESHOLD_M / math.sqrt(2.0)
+    points = [enu_to_wgs84(*b, east * e, north * n, max_range_m=math.inf)[:2]
+              for e, n in ((MATCH_THRESHOLD_M, 0.0), (0.0, MATCH_THRESHOLD_M), (d, d))]
+    return graph, points, full_scan_match(graph, *points[0], math.inf)[2]
+
+
 class TestWayCellIndex:
     @settings(max_examples=300, deadline=None)
     @given(maps_and_points())
+    # On the edge of the segment pre-test: at mid latitudes and at 80 N
+    # (where a margin without rounding slack drops the segment), on finite
+    # match boxes on either side of the antimeridian, and on ways by the
+    # antimeridian whose match boxes take every longitude, from either
+    # side with positions across it.
+    @example(threshold_edge((47.6, -122.3), (47.600736, -122.29678)))
+    @example(threshold_edge((80.0, 15.0), (80.000665, 15.001752)))
+    @example(threshold_edge((0.0009, 179.98), (0.0, 179.99), north=-1.0))
+    @example(threshold_edge((0.0009, -179.98), (0.0, -179.99), east=-1.0, north=-1.0))
+    @example(threshold_edge((0.0009, 179.999), (0.0, 179.9999), north=-1.0))
+    @example(threshold_edge((0.0009, -179.999), (0.0, -179.9999), east=-1.0, north=-1.0))
     def test_indexed_match_equals_full_scan(self, case):
         graph, points, threshold = case
         assert all(graph.way_bbox(w) == match_box(graph, w) for w in graph.ways)
@@ -399,6 +426,14 @@ class TestWayCellIndex:
         graph = parse_osm(doc)
         for lat, lon in ((0.0005, 0.0005), (0.0, 0.0), (float("nan"), 0.0005)):
             assert as_tuple(map_match(graph, lat, lon)) == full_scan_match(graph, lat, lon)
+
+    def test_nan_negative_and_infinite_thresholds_match_as_the_full_scan_does(self):
+        graph = grid_graph(blocks=4, spacing_m=150.0, segs_per_way=4)
+        points = [offset_point(5.0, 3.0), offset_point(-70.0, 40.0), offset_point(160.0, 230.0)]
+        for threshold in (math.nan, -1.0, -math.inf, math.inf, 1e308):
+            for lat, lon in points:
+                assert as_tuple(map_match(graph, lat, lon, threshold_m=threshold)) == \
+                    full_scan_match(graph, lat, lon, threshold)
 
     def test_equals_full_scan_on_a_1056_segment_grid(self):
         graph = grid_graph(blocks=12, spacing_m=150.0, segs_per_way=4)
@@ -424,6 +459,18 @@ class TestWayCellIndex:
         assert map_match(graph, *offset_point(20000.0, 0.0)) is None and projected == []
         m = map_match(graph, *offset_point(6000.0, 6010.0))
         assert (m.way_id, m.segment_index) == (7, 0) and len(projected) == 2
+
+    def test_only_segments_near_the_point_are_projected(self, monkeypatch):
+        # 5 m north of the middle node of a straight 200-segment way.
+        graph = parse_osm(chain_xml(n=201, spacing_m=100.0))
+        lat, lon = offset_point(10000.0, 5.0)
+        projected = []
+        project = roadnet.project_to_segment
+        monkeypatch.setattr(roadnet, "project_to_segment", lambda *a: projected.append(1) or project(*a))
+        m = map_match(graph, lat, lon)
+        assert len(projected) <= 2
+        assert as_tuple(m) == full_scan_match(graph, lat, lon)
+        assert m.segment_index in (99, 100) and m.distance_m == pytest.approx(5.0, abs=0.01)
 
     def test_ways_tested_per_match_do_not_grow_with_the_map(self, monkeypatch):
         tested = []

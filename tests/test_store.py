@@ -410,6 +410,36 @@ class TestEvictionTimer:
             logger.removeHandler(probe)
 
 
+    def test_a_pass_raising_any_exception_is_logged_and_the_next_pass_runs(self, monkeypatch):
+        store = LdmStore()
+        passes = []
+        evict = store.evict_expired
+
+        def flaky(now):
+            passes.append(now)
+            if len(passes) == 1:
+                raise KeyError("lost entry")
+            return evict(now)
+
+        monkeypatch.setattr(store, "evict_expired", flaky)
+        logged = []
+        probe = logging.Handler(logging.ERROR)
+        probe.emit = logged.append
+        logger = logging.getLogger("ldm")
+        logger.addHandler(probe)
+        timer = EvictionTimer(store, period_s=0.01).start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while len(passes) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(passes) >= 2 and timer.is_alive()
+            assert logged and logged[0].exc_info[0] is KeyError
+        finally:
+            timer.stop()
+            logger.removeHandler(probe)
+        assert not timer.is_alive()
+
+
 class TestQueryFrames:
     def test_half_open_interval(self):
         store = LdmStore()
