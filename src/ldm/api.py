@@ -109,13 +109,16 @@ class LocalDynamicMap:
 
     def add_objects(self, payload: Union[OpenLabelPayload, CpmMessage, str, bytes, dict],
                     source: str = "local_perception") -> CommitCounts:
-        """Commit one scene payload (or CPM message) into the store."""
+        """Commit one scene payload (or CPM message) into the store.
+
+        source tags the records of a document parsed here that name no
+        source of their own. A parsed payload keeps the tags its parse
+        gave, and a CPM's records are v2x."""
         if isinstance(payload, CpmMessage):
             payload = cpm_to_openlabel(payload)
-            source = "v2x"
         elif not isinstance(payload, OpenLabelPayload):
-            payload = parse_openlabel(payload)
-        return commit_payload(payload, self.store, source=source)
+            payload = parse_openlabel(payload, source=source)
+        return commit_payload(payload, self.store)
 
     # -- load map -----------------------------------------------------
 

@@ -62,9 +62,8 @@ def parse_envelope(body: dict) -> FeedEnvelope:
 def dispatch_envelope(ldm: LocalDynamicMap, env: FeedEnvelope) -> CommitCounts:
     """Convert-and-commit one envelope into the store."""
     if env.msg_type == "cpm":
-        payload = cpm_to_openlabel(parse_cpm(env.payload))
-        return commit_payload(payload, ldm.store, source="v2x")
-    return commit_payload(parse_openlabel(env.payload), ldm.store, source="local_perception")
+        return commit_payload(cpm_to_openlabel(parse_cpm(env.payload)), ldm.store)
+    return commit_payload(parse_openlabel(env.payload), ldm.store)
 
 
 def handle_line(ldm: LocalDynamicMap, line: Union[bytes, str]) -> dict:

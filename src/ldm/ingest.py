@@ -3,9 +3,10 @@
 Two input families feed the store: OpenLABEL-style scene JSON (objects,
 contexts, frames, streams, relations under a single "openlabel" root)
 and a JSON profile of cooperative perception messages keeping the ETSI
-field names and units (centimeters, centimeters/second). CPM messages
-are converted to the scene payload shape before commit so the store
-only ever sees one representation.
+field names and units (centimeters, centimeters/second). Both parse
+straight into the store's own types: a payload's elements are
+SceneElements carrying their FrameRecords, and a commit hands them to
+the store as one batch.
 
 The serializer lives here too so parse and export share one schema:
 documents are emitted with a fixed ordering (sorted keys, ascending
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import InvalidMessage, SceneSyntaxError, SchemaError
@@ -34,7 +35,7 @@ from .model import (
     Timestamp,
 )
 
-_SOURCE_TAGS = {s.value for s in FrameSource}
+_SOURCES = {s.value: s for s in FrameSource}
 
 SCHEMA_VERSION = "ldm-scene/1.0"
 ROOT_KEY = "openlabel"
@@ -58,33 +59,6 @@ _LAYER_NAMES = {v: k for k, v in _LAYER_TAGS.items()}
 
 
 @dataclass
-class PayloadElement:
-    uid: int
-    name: str
-    semantic_type: str = ""
-    layer: Optional[LdmLayer] = None
-    static: dict = field(default_factory=dict)
-
-
-@dataclass
-class PayloadFrameData:
-    """Dynamic state of one element within one payload frame."""
-
-    pose: Optional[GeoPose] = None
-    data: dict = field(default_factory=dict)
-    source: Optional[str] = None
-    timestamp: Optional[Timestamp] = None  # overrides the frame timestamp
-
-
-@dataclass
-class PayloadFrame:
-    index: int
-    timestamp: Timestamp
-    objects: dict[int, PayloadFrameData] = field(default_factory=dict)
-    contexts: dict[int, PayloadFrameData] = field(default_factory=dict)
-
-
-@dataclass
 class PayloadRelation:
     subject_kind: ElementKind
     subject: int
@@ -96,17 +70,21 @@ class PayloadRelation:
 
 @dataclass
 class OpenLabelPayload:
+    """A parsed scene document in the store's own types.
+
+    objects and contexts map uid -> SceneElement with id = uid, each
+    carrying its frames as FrameRecords keyed by timestamp; an element's
+    layer is None where the document leaves it out. frame_times maps each
+    frame index to its timestamp, for relation frame spans.
+    """
+
     metadata: dict = field(default_factory=dict)
-    objects: dict[int, PayloadElement] = field(default_factory=dict)
-    contexts: dict[int, PayloadElement] = field(default_factory=dict)
-    frames: dict[int, PayloadFrame] = field(default_factory=dict)
+    objects: dict[int, SceneElement] = field(default_factory=dict)
+    contexts: dict[int, SceneElement] = field(default_factory=dict)
+    frame_times: dict[int, Timestamp] = field(default_factory=dict)
     streams: dict[str, StreamDescriptor] = field(default_factory=dict)
     coordinate_systems: dict = field(default_factory=dict)
     relations: list[PayloadRelation] = field(default_factory=list)
-
-    def element(self, kind: ElementKind, uid: int) -> PayloadElement:
-        table = self.objects if kind is ElementKind.Object else self.contexts
-        return table[uid]
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +146,9 @@ def _parse_pose(raw, path: str) -> GeoPose:
     )
 
 
-def _parse_elements(raw, path: str) -> dict[int, PayloadElement]:
+def _parse_elements(raw, path: str, kind: ElementKind) -> dict[int, SceneElement]:
     _require(isinstance(raw, dict), "element table must be an object", path)
-    out: dict[int, PayloadElement] = {}
+    out: dict[int, SceneElement] = {}
     for key, body in raw.items():
         uid = _parse_uid(key, f"{path}/{key}")
         _require(isinstance(body, dict), "element must be an object", f"{path}/{key}")
@@ -180,40 +158,39 @@ def _parse_elements(raw, path: str) -> dict[int, PayloadElement]:
             tag = str(body["layer"])
             _require(tag in _LAYER_TAGS, f"unknown layer tag '{tag}'", f"{path}/{key}/layer")
             layer = _LAYER_TAGS[tag]
-        out[uid] = PayloadElement(
-            uid=uid,
-            name=str(body["name"]),
-            semantic_type=str(body.get("type", "")),
-            layer=layer,
-            static=_parse_attrs(body.get("static", {}), f"{path}/{key}/static"),
-        )
+        out[uid] = SceneElement(uid, kind, str(body["name"]), str(body.get("type", "")), layer,
+                                _parse_attrs(body.get("static", {}), f"{path}/{key}/static"))
     return out
 
 
-def _parse_frame_data(raw, path: str) -> PayloadFrameData:
+def _parse_record(raw, uid: int, ts: Timestamp, source: FrameSource, path: str) -> FrameRecord:
+    """One element's entry in a frame at ts, tagged with source unless
+    it names its own; its own "timestamp" overrides ts."""
     _require(isinstance(raw, dict), "frame data must be an object", path)
-    source = raw.get("source")
-    if source is not None:
-        _require(source in _SOURCE_TAGS, f"unknown source '{source}'", f"{path}/source")
-    ts = raw.get("timestamp")
-    if ts is not None:
-        _require(isinstance(ts, int) and ts >= 0, "timestamp must be a non-negative integer", f"{path}/timestamp")
-    return PayloadFrameData(
-        pose=_parse_pose(raw["pose"], f"{path}/pose") if raw.get("pose") is not None else None,
-        data=_parse_attrs(raw.get("data", {}), f"{path}/data"),
-        source=source,
-        timestamp=ts,
-    )
+    tag = raw.get("source")
+    if tag is not None:
+        _require(tag in _SOURCES, f"unknown source '{tag}'", f"{path}/source")
+        source = _SOURCES[tag]
+    own_ts = raw.get("timestamp")
+    if own_ts is not None:
+        _require(isinstance(own_ts, int) and own_ts >= 0, "timestamp must be a non-negative integer",
+                 f"{path}/timestamp")
+        ts = own_ts
+    pose = _parse_pose(raw["pose"], f"{path}/pose") if raw.get("pose") is not None else None
+    return FrameRecord(ts, uid, pose, _parse_attrs(raw.get("data", {}), f"{path}/data"), source)
 
 
-def parse_openlabel(document: Union[str, bytes, dict]) -> OpenLabelPayload:
-    """Parse a scene JSON document into an OpenLabelPayload.
+def parse_openlabel(document: Union[str, bytes, dict],
+                    source: Union[str, FrameSource] = "local_perception") -> OpenLabelPayload:
+    """Parse a scene document into an OpenLabelPayload; a frame record
+    that names no source is tagged with source.
 
     Unknown keys are ignored for forward compatibility. Raises
     SceneSyntaxError for unparseable JSON and SchemaError (naming the
     offending path) for structural violations, including frame entries
     referencing undeclared elements.
     """
+    source = FrameSource(source)
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
@@ -228,11 +205,15 @@ def parse_openlabel(document: Union[str, bytes, dict]) -> OpenLabelPayload:
 
     payload = OpenLabelPayload()
     payload.metadata = dict(root.get("metadata", {})) if isinstance(root.get("metadata", {}), dict) else {}
-    payload.objects = _parse_elements(root.get("objects", {}), "objects")
-    payload.contexts = _parse_elements(root.get("contexts", {}), "contexts")
+    payload.objects = _parse_elements(root.get("objects", {}), "objects", ElementKind.Object)
+    payload.contexts = _parse_elements(root.get("contexts", {}), "contexts", ElementKind.Context)
 
     raw_frames = root.get("frames", {})
     _require(isinstance(raw_frames, dict), "frames must be an object", "frames")
+    # Every frame is checked in document order, then its records go to
+    # their elements in ascending index order, so a later index wins for
+    # one element and timestamp, and a repeated index replaces the frame.
+    records: dict[int, tuple[dict[int, FrameRecord], dict[int, FrameRecord]]] = {}
     for key, body in raw_frames.items():
         fpath = f"frames/{key}"
         index = _parse_uid(key, fpath)
@@ -244,11 +225,9 @@ def parse_openlabel(document: Union[str, bytes, dict]) -> OpenLabelPayload:
             "timestamp must be a non-negative integer",
             f"{fpath}/timestamp",
         )
-        frame = PayloadFrame(index=index, timestamp=ts)
-        for section, table, target in (
-            ("objects", payload.objects, frame.objects),
-            ("contexts", payload.contexts, frame.contexts),
-        ):
+        records[index] = ({}, {})
+        for section, table, target in zip(("objects", "contexts"), (payload.objects, payload.contexts),
+                                          records[index]):
             raw_section = body.get(section, {})
             _require(isinstance(raw_section, dict), f"frame {section} must be an object", f"{fpath}/{section}")
             for ukey, data in raw_section.items():
@@ -258,8 +237,12 @@ def parse_openlabel(document: Union[str, bytes, dict]) -> OpenLabelPayload:
                     f"frame references undeclared {section[:-1]} uid {uid}",
                     f"{fpath}/{section}/{ukey}",
                 )
-                target[uid] = _parse_frame_data(data, f"{fpath}/{section}/{ukey}")
-        payload.frames[index] = frame
+                target[uid] = _parse_record(data, uid, ts, source, f"{fpath}/{section}/{ukey}")
+        payload.frame_times[index] = ts
+    for index in sorted(records):
+        for table, target in zip((payload.objects, payload.contexts), records[index]):
+            for uid, rec in target.items():
+                table[uid].frames[rec.timestamp] = rec
 
     raw_streams = root.get("streams", {})
     _require(isinstance(raw_streams, dict), "streams must be an object", "streams")
@@ -282,14 +265,8 @@ def parse_openlabel(document: Union[str, bytes, dict]) -> OpenLabelPayload:
         _require(isinstance(body, dict), "relation must be an object", rpath)
         for req in ("subject", "predicate", "object"):
             _require(req in body, f"relation missing '{req}'", rpath)
-        rel = PayloadRelation(
-            subject_kind=_resolve_endpoint_kind(payload, body, "subject", rpath),
-            subject=_parse_uid(body["subject"], f"{rpath}/subject"),
-            predicate=str(body["predicate"]),
-            object_kind=_resolve_endpoint_kind(payload, body, "object", rpath),
-            object=_parse_uid(body["object"], f"{rpath}/object"),
-            frame_span=None,
-        )
+        rel = PayloadRelation(*_resolve_endpoint(payload, body, "subject", rpath), str(body["predicate"]),
+                              *_resolve_endpoint(payload, body, "object", rpath))
         span = body.get("frame_span")
         if span is not None:
             _require(
@@ -304,28 +281,28 @@ def parse_openlabel(document: Union[str, bytes, dict]) -> OpenLabelPayload:
     return payload
 
 
-def _resolve_endpoint_kind(payload: OpenLabelPayload, body: dict, role: str, path: str) -> ElementKind:
+def _resolve_endpoint(payload: OpenLabelPayload, body: dict, role: str,
+                      path: str) -> tuple[ElementKind, int]:
+    """The kind and uid of a relation endpoint: its explicit kind, else
+    that of the one element table declaring the uid."""
     explicit = body.get(f"{role}_kind")
     if explicit is not None:
         try:
             kind = ElementKind(str(explicit))
         except ValueError:
             raise SchemaError(f"unknown kind '{explicit}'", f"{path}/{role}_kind") from None
-    else:
-        uid = _parse_uid(body[role], f"{path}/{role}")
+    uid = _parse_uid(body[role], f"{path}/{role}")
+    if explicit is None:
         in_obj = uid in payload.objects
-        in_ctx = uid in payload.contexts
-        _require(in_obj or in_ctx, f"relation {role} uid {uid} undeclared", f"{path}/{role}")
         _require(
-            not (in_obj and in_ctx),
+            not (in_obj and uid in payload.contexts),
             f"relation {role} uid {uid} is ambiguous; add '{role}_kind'",
             f"{path}/{role}",
         )
         kind = ElementKind.Object if in_obj else ElementKind.Context
-    uid = _parse_uid(body[role], f"{path}/{role}")
     table = payload.objects if kind is ElementKind.Object else payload.contexts
     _require(uid in table, f"relation {role} uid {uid} undeclared", f"{path}/{role}")
-    return kind
+    return kind, uid
 
 
 # ---------------------------------------------------------------------------
@@ -461,34 +438,36 @@ class PerceivedObject:
 
 @dataclass
 class CpmMessage:
+    """A cooperative perception message; constructing one checks it and
+    raises InvalidMessage naming the first violated field."""
+
     station_id: int
     generation_time: Timestamp
     reference_position: GeoPose
     perceived_objects: list[PerceivedObject] = field(default_factory=list)
 
-
-def validate_cpm(m: CpmMessage) -> None:
-    """Raise InvalidMessage naming the first violated field."""
-    if m.station_id < 0:
-        raise InvalidMessage(f"station_id must be >= 0, got {m.station_id}", "station_id")
-    if m.generation_time < 0:
-        raise InvalidMessage("generation_time must be >= 0", "generation_time")
-    bad = m.reference_position.range_violations()
-    if bad:
-        raise InvalidMessage(f"reference_position: {bad[0]}", "reference_position")
-    for i, obj in enumerate(m.perceived_objects):
-        where = f"perceived_objects[{i}]"
-        if abs(obj.x_distance) > MAX_DISTANCE_CM:
-            raise InvalidMessage(f"{where}.x_distance exceeds {MAX_DISTANCE_CM}", f"{where}.x_distance")
-        if abs(obj.y_distance) > MAX_DISTANCE_CM:
-            raise InvalidMessage(f"{where}.y_distance exceeds {MAX_DISTANCE_CM}", f"{where}.y_distance")
-        if obj.object_class not in OBJECT_CLASSES:
-            raise InvalidMessage(
-                f"{where}.object_class '{obj.object_class}' not one of {OBJECT_CLASSES}",
-                f"{where}.object_class",
-            )
-        if not (0 <= obj.confidence <= 100):
-            raise InvalidMessage(f"{where}.confidence {obj.confidence} not in [0, 100]", f"{where}.confidence")
+    def __post_init__(self):
+        if self.station_id < 0:
+            raise InvalidMessage(f"station_id must be >= 0, got {self.station_id}", "station_id")
+        if self.generation_time < 0:
+            raise InvalidMessage("generation_time must be >= 0", "generation_time")
+        bad = self.reference_position.range_violations()
+        if bad:
+            raise InvalidMessage(f"reference_position: {bad[0]}", "reference_position")
+        for i, obj in enumerate(self.perceived_objects):
+            where = f"perceived_objects[{i}]"
+            if abs(obj.x_distance) > MAX_DISTANCE_CM:
+                raise InvalidMessage(f"{where}.x_distance exceeds {MAX_DISTANCE_CM}", f"{where}.x_distance")
+            if abs(obj.y_distance) > MAX_DISTANCE_CM:
+                raise InvalidMessage(f"{where}.y_distance exceeds {MAX_DISTANCE_CM}", f"{where}.y_distance")
+            if obj.object_class not in OBJECT_CLASSES:
+                raise InvalidMessage(
+                    f"{where}.object_class '{obj.object_class}' not one of {OBJECT_CLASSES}",
+                    f"{where}.object_class",
+                )
+            if not (0 <= obj.confidence <= 100):
+                raise InvalidMessage(f"{where}.confidence {obj.confidence} not in [0, 100]",
+                                     f"{where}.confidence")
 
 
 def parse_cpm(document: Union[str, bytes, dict]) -> CpmMessage:
@@ -541,13 +520,11 @@ def parse_cpm(document: Union[str, bytes, dict]) -> CpmMessage:
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidMessage(f"{where} is malformed: {exc}", where) from exc
-    msg = CpmMessage(station_id, generation_time, ref, objs)
-    validate_cpm(msg)
-    return msg
+    return CpmMessage(station_id, generation_time, ref, objs)
 
 
 def cpm_to_openlabel(m: CpmMessage) -> OpenLabelPayload:
-    """Convert a CPM into a one-frame scene payload.
+    """Convert a CPM into a one-frame scene payload of v2x records.
 
     The sending station becomes object "station-{id}" at its reference
     position; each perceived object becomes "cpm-{station}-{object}"
@@ -556,59 +533,29 @@ def cpm_to_openlabel(m: CpmMessage) -> OpenLabelPayload:
     carried as a dynamic attribute. A "perceivedBy" relation ties each
     object to the station.
     """
-    validate_cpm(m)
-    payload = OpenLabelPayload(metadata={"schema_version": SCHEMA_VERSION, "source_format": "cpm"})
-    frame = PayloadFrame(index=0, timestamp=m.generation_time)
-    payload.frames[0] = frame
-
-    payload.objects[0] = PayloadElement(
-        uid=0,
-        name=f"station-{m.station_id}",
-        semantic_type="v2x.station",
-        layer=LdmLayer.L4_Dynamic,
-        static={"station_id": m.station_id},
+    ts = m.generation_time
+    ref = m.reference_position
+    payload = OpenLabelPayload(metadata={"schema_version": SCHEMA_VERSION, "source_format": "cpm"},
+                               frame_times={0: ts})
+    payload.objects[0] = SceneElement(
+        0, ElementKind.Object, f"station-{m.station_id}", "v2x.station", LdmLayer.L4_Dynamic,
+        {"station_id": m.station_id},
+        {ts: FrameRecord(ts, 0, GeoPose(ref.lat, ref.lon, ref.alt, ref.heading, ref.speed), {},
+                         FrameSource.V2X)},
     )
-    frame.objects[0] = PayloadFrameData(
-        pose=GeoPose(
-            m.reference_position.lat,
-            m.reference_position.lon,
-            m.reference_position.alt,
-            m.reference_position.heading,
-            m.reference_position.speed,
-        ),
-        source="v2x",
-    )
-
-    for i, obj in enumerate(m.perceived_objects):
-        uid = i + 1
+    for uid, obj in enumerate(m.perceived_objects, 1):
         lat, lon, alt = enu_to_wgs84(
-            m.reference_position.lat,
-            m.reference_position.lon,
-            obj.x_distance / 100.0,
-            obj.y_distance / 100.0,
-            origin_alt=m.reference_position.alt,
+            ref.lat, ref.lon, obj.x_distance / 100.0, obj.y_distance / 100.0, origin_alt=ref.alt,
         )
         speed = math.hypot(obj.x_speed, obj.y_speed) / 100.0
         heading = math.degrees(math.atan2(obj.x_speed, obj.y_speed)) % 360.0
-        payload.objects[uid] = PayloadElement(
-            uid=uid,
-            name=f"cpm-{m.station_id}-{obj.object_id}",
-            semantic_type=obj.object_class,
-            layer=LdmLayer.L4_Dynamic,
-            static={"station_id": m.station_id, "object_id": obj.object_id},
+        payload.objects[uid] = SceneElement(
+            uid, ElementKind.Object, f"cpm-{m.station_id}-{obj.object_id}", obj.object_class,
+            LdmLayer.L4_Dynamic, {"station_id": m.station_id, "object_id": obj.object_id},
+            {ts: FrameRecord(ts, uid, GeoPose(lat, lon, alt, heading, speed),
+                             {"confidence": obj.confidence}, FrameSource.V2X)},
         )
-        frame.objects[uid] = PayloadFrameData(
-            pose=GeoPose(lat, lon, alt, heading, speed),
-            data={"confidence": obj.confidence},
-            source="v2x",
-        )
-        payload.relations.append(PayloadRelation(
-            subject_kind=ElementKind.Object,
-            subject=uid,
-            predicate="perceivedBy",
-            object_kind=ElementKind.Object,
-            object=0,
-        ))
+        payload.relations.append(PayloadRelation(ElementKind.Object, uid, "perceivedBy", ElementKind.Object, 0))
     return payload
 
 
@@ -626,33 +573,7 @@ class CommitCounts:
         return {"elements": self.elements, "frames": self.frames, "relations": self.relations}
 
 
-def payload_elements(payload: OpenLabelPayload,
-                     default_source: FrameSource) -> dict[tuple[ElementKind, int], SceneElement]:
-    """The payload's elements keyed by (kind, uid), objects first and
-    ascending by uid, each with id = uid and carrying its frames. A frame
-    without a source tag gets default_source; the layer stays None where
-    the payload leaves it out."""
-    elements: dict[tuple[ElementKind, int], SceneElement] = {}
-    for kind, table in ((ElementKind.Object, payload.objects), (ElementKind.Context, payload.contexts)):
-        for uid in sorted(table):
-            pe = table[uid]
-            elements[(kind, uid)] = SceneElement(uid, kind, pe.name, pe.semantic_type, pe.layer, pe.static)
-    for index in sorted(payload.frames):
-        frame = payload.frames[index]
-        for kind, section in ((ElementKind.Object, frame.objects), (ElementKind.Context, frame.contexts)):
-            for uid, data in section.items():
-                ts = data.timestamp if data.timestamp is not None else frame.timestamp
-                elements[(kind, uid)].frames[ts] = FrameRecord(
-                    timestamp=ts,
-                    element_id=uid,
-                    pose=data.pose,
-                    dynamic_attributes=dict(data.data),
-                    source=FrameSource(data.source) if data.source else default_source,
-                )
-    return elements
-
-
-def commit_payload(payload: OpenLabelPayload, store, source: str = "local_perception") -> CommitCounts:
+def commit_payload(payload: OpenLabelPayload, store) -> CommitCounts:
     """Commit a parsed payload into the store, atomically.
 
     Elements upsert by (kind, name, type); frame records key by their
@@ -662,10 +583,10 @@ def commit_payload(payload: OpenLabelPayload, store, source: str = "local_percep
     any, so a hard error commits nothing. A missing layer is taken from
     the same identity elsewhere in the payload, else from the stored
     element, else L4. Counts report entities actually created or changed,
-    which makes an identical re-commit report all zeros.
+    which makes an identical re-commit report all zeros. The payload is
+    left as parsed, so it commits again, into any store, alike.
     """
-    default_source = FrameSource(source) if isinstance(source, str) else source
-    frame_ts = {i: f.timestamp for i, f in payload.frames.items()}
+    frame_ts = payload.frame_times
     spans: list[Optional[tuple[int, int]]] = []
     for i, rel in enumerate(payload.relations):
         span = None
@@ -679,22 +600,27 @@ def commit_payload(payload: OpenLabelPayload, store, source: str = "local_percep
             span = (frame_ts[a], frame_ts[b - 1] + 1)
         spans.append(span)
 
-    elements = payload_elements(payload, default_source)
+    # Objects first, then contexts, each ascending by uid: the order new
+    # ids are handed out in.
+    by_uid = {(kind, uid): table[uid]
+              for kind, table in ((ElementKind.Object, payload.objects), (ElementKind.Context, payload.contexts))
+              for uid in sorted(table)}
+    batch = list(by_uid.values())
     layers: dict[tuple, LdmLayer] = {}
-    for e in elements.values():
+    for e in batch:
         if e.layer is not None:
             layers.setdefault((e.kind, e.name, e.semantic_type), e.layer)
 
     with store.write_lock():
-        for e in elements.values():
+        for i, e in enumerate(batch):
             if e.layer is None:
                 key = (e.kind, e.name, e.semantic_type)
                 if key not in layers:
                     stored = store.find_element(*key)
                     layers[key] = stored.layer if stored else LdmLayer.L4_Dynamic
-                e.layer = layers[key]
-        ids, changed, frames = store.upsert_elements(list(elements.values()))
-        eids = dict(zip(elements, ids))
+                batch[i] = replace(e, layer=layers[key])
+        ids, changed, frames = store.upsert_elements(batch)
+        eids = dict(zip(by_uid, ids))
         counts = CommitCounts(elements=changed, frames=frames)
         for rel, span in zip(payload.relations, spans):
             if store.add_relation(Relation(eids[(rel.subject_kind, rel.subject)], rel.predicate,

@@ -12,13 +12,14 @@ written by the export function.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Union
 
 from .api import LocalDynamicMap
 from .errors import FileError
-from .ingest import ROOT_KEY, build_document, parse_openlabel, payload_elements, serialize_document
-from .model import FrameSource, LdmLayer, Relation
+from .ingest import ROOT_KEY, build_document, parse_openlabel, serialize_document
+from .model import LdmLayer, Relation
 from .roadnet import graph_from_store
 from .store import LdmConfig
 
@@ -65,9 +66,8 @@ def load_state(state_dir: Union[str, Path], config: Optional[LdmConfig] = None) 
         return ldm
 
     payload = parse_openlabel(scene_path.read_text(encoding="utf-8"))
-    elements = list(payload_elements(payload, FrameSource.LocalPerception).values())
-    for e in elements:
-        e.layer = e.layer or LdmLayer.L4_Dynamic
+    elements = [e if e.layer else replace(e, layer=LdmLayer.L4_Dynamic)
+                for table in (payload.objects, payload.contexts) for e in table.values()]
     ldm.store.upsert_elements(elements, keep_ids=True)
     # Spans are stored as timestamps, not payload frame indices.
     for rel in payload.relations:

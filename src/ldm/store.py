@@ -327,9 +327,10 @@ class LdmStore:
         stored earlier included. The ids on the values are ignored unless
         keep_ids (the state reload path) is set: then each element is
         stored under its own id, and an id that another identity holds,
-        in the store or in the batch, raises InvalidElement too. Frame
-        records are stored as given, not copied, with their element_id
-        set to the stored id. The spatial filter drops outside frames.
+        in the store or in the batch, raises InvalidElement too. The
+        store never changes what it is given: a frame record whose
+        element_id is the stored id is stored as given, any other as a
+        copy carrying that id. The spatial filter drops outside frames.
 
         Returns the ids in input order, the number of elements created or
         whose statics changed, and the number of frames stored that differ
@@ -340,24 +341,31 @@ class LdmStore:
             if violations:
                 raise InvalidElement(violations)
         with self._lock.write():
-            self._check_batch_locked(elements, keep_ids)
-            ids: list[ElementId] = []
+            ids = self._check_batch_locked(elements, keep_ids)
+            # Every copy is made before the batch creates any entry, so
+            # that its new entries lie together in memory: a scan over the
+            # objects reads every entry, and copies between them slow it.
+            batch = [[rec if rec.element_id == eid else
+                      FrameRecord(rec.timestamp, eid, rec.pose, rec.dynamic_attributes, rec.source)
+                      for _, rec in sorted(e.frames.items())] if e.frames else ()
+                     for e, eid in zip(elements, ids)]
             changed = frames = 0
-            for e in elements:
-                key = (e.kind, e.name, e.semantic_type)
-                eid = e.id if keep_ids else self._by_key.get(key, self._next_id)
-                created_or_changed, written = self._write_element_locked(e, eid)
-                ids.append(eid)
+            for e, eid, recs in zip(elements, ids, batch):
+                created_or_changed, written = self._write_element_locked(e, eid, recs)
                 changed += created_or_changed
                 frames += written
             return ids, changed, frames
 
-    def _check_batch_locked(self, elements: list[SceneElement], keep_ids: bool) -> None:
+    def _check_batch_locked(self, elements: list[SceneElement], keep_ids: bool) -> list[ElementId]:
         """Merge layer, static names and dynamic names per identity over
         the stored element and the batch; raise InvalidElement on a layer
         change or a name both static and dynamic, and with keep_ids on an
-        id that another identity holds."""
-        merged: dict[tuple, tuple[LdmLayer, set, set]] = {}
+        id that another identity holds. Returns the id each element is
+        stored under: its own with keep_ids, else its identity's stored
+        id, or the next free one for a new identity."""
+        merged: dict[tuple, tuple[ElementId, LdmLayer, set, set]] = {}
+        ids: list[ElementId] = []
+        fresh = 0
         # keep_ids: ids and identities must pair one to one, over the store
         # and the batch.
         id_of: dict[tuple, ElementId] = {}
@@ -373,13 +381,15 @@ class LdmStore:
             if identity is None:
                 eid = self._by_key.get(key)
                 if eid is None:
-                    identity = (e.layer, set(), set())
+                    identity = (e.id if keep_ids else self._next_id + fresh, e.layer, set(), set())
+                    fresh += 1
                 else:
                     entry = self._entries[eid]
-                    identity = (entry.element.layer, set(entry.element.static_attributes),
+                    identity = (eid, entry.element.layer, set(entry.element.static_attributes),
                                 set(entry.dynamic_names))
                 merged[key] = identity
-            layer, statics, names = identity
+            eid, layer, statics, names = identity
+            ids.append(eid)
             if layer is not e.layer:
                 raise InvalidElement(
                     [f"layer change for existing element '{e.name}': "
@@ -387,17 +397,20 @@ class LdmStore:
                 )
             statics.update(e.static_attributes)
             names.update(e.dynamic_attribute_names())
-        for _, statics, names in merged.values():
+        for _, _, statics, names in merged.values():
             overlap = statics & names
             if overlap:
                 raise InvalidElement(
                     [f"attribute overlap: {n}" for n in sorted(overlap)]
                 )
+        return ids
 
-    def _write_element_locked(self, e: SceneElement, eid: ElementId) -> tuple[bool, int]:
+    def _write_element_locked(self, e: SceneElement, eid: ElementId,
+                              recs: list[FrameRecord]) -> tuple[bool, int]:
         """Write a checked element under eid: create its entry or merge
-        its statics, then store its frames. Returns whether the element
-        was created or its statics changed, and how many frames changed."""
+        its statics, then store recs, its frames in time order. Returns
+        whether the element was created or its statics changed, and how
+        many frames changed."""
         entry = self._entries.get(eid)
         if entry is None:
             element = SceneElement(eid, e.kind, e.name, e.semantic_type, e.layer, dict(e.static_attributes))
@@ -412,11 +425,9 @@ class LdmStore:
             if changed:
                 entry.element = replace(entry.element, static_attributes={**old, **e.static_attributes})
         frames = 0
-        for ts in sorted(e.frames):
-            rec = e.frames[ts]
-            rec.element_id = eid
+        for rec in recs:
             frames += bool(self._write_frame_locked(entry, rec))
-        if e.frames and e.kind is ElementKind.Object:
+        if recs and e.kind is ElementKind.Object:
             self._rebucket_locked(entry)
         return changed, frames
 

@@ -54,26 +54,17 @@ def test_c1_round_trip_fidelity(tmp_path):
         back = parse_openlabel(sink.getvalue())
 
         by_key = {(e.name, e.semantic_type): e for e in back.objects.values()}
-        frames_back = {}
-        for frame in back.frames.values():
-            for uid, data in frame.objects.items():
-                e = back.objects[uid]
-                ts = data.timestamp if data.timestamp is not None else frame.timestamp
-                frames_back.setdefault((e.name, e.semantic_type), {})[ts] = data
 
-        for uid, pe in src.objects.items():
+        for pe in src.objects.values():
             key = (pe.name, pe.semantic_type)
             assert key in by_key, f"scene {i}: object {key} lost"
-            assert by_key[key].static == pe.static
-            for frame in src.frames.values():
-                data = frame.objects.get(uid)
-                if data is None:
-                    continue
-                got = frames_back[key].get(frame.timestamp)
-                assert got is not None, f"scene {i}: frame ts {frame.timestamp} lost"
+            assert by_key[key].static_attributes == pe.static_attributes
+            for ts, data in pe.frames.items():
+                got = by_key[key].frames.get(ts)
+                assert got is not None, f"scene {i}: frame ts {ts} lost"
                 assert abs(got.pose.lat - data.pose.lat) <= 1e-9
                 assert abs(got.pose.lon - data.pose.lon) <= 1e-9
-                assert got.data == data.data
+                assert got.dynamic_attributes == data.dynamic_attributes
                 records += 1
         scenes += 1
     elapsed = time.monotonic() - started
@@ -92,7 +83,7 @@ def test_c2_cpm_conversion_correctness():
         assert len(payload.objects) == len(msg.perceived_objects) + 1
         ref = msg.reference_position
         for i, obj in enumerate(msg.perceived_objects):
-            pose = payload.frames[0].objects[i + 1].pose
+            pose = payload.objects[i + 1].frames[msg.generation_time].pose
             exp_lat, exp_lon = oracles.hp_local_to_wgs84(
                 ref.lat, ref.lon, obj.x_distance / 100.0, obj.y_distance / 100.0
             )

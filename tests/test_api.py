@@ -796,25 +796,16 @@ class TestExport:
 
         src = parse_openlabel(original)
         by_name = {(e.name, e.semantic_type): e for e in exported.objects.values()}
-        back_frames = {}
-        for frame in exported.frames.values():
-            for uid, data in frame.objects.items():
-                e = exported.objects[uid]
-                ts = data.timestamp if data.timestamp is not None else frame.timestamp
-                back_frames.setdefault((e.name, e.semantic_type), {})[ts] = data
 
-        for uid, pe in src.objects.items():
+        for pe in src.objects.values():
             key = (pe.name, pe.semantic_type)
             assert key in by_name
-            assert by_name[key].static == pe.static
-            for frame in src.frames.values():
-                if uid not in frame.objects:
-                    continue
-                got = back_frames[key][frame.timestamp]
-                want = frame.objects[uid]
+            assert by_name[key].static_attributes == pe.static_attributes
+            for ts, want in pe.frames.items():
+                got = by_name[key].frames[ts]
                 assert got.pose.lat == pytest.approx(want.pose.lat, abs=1e-9)
                 assert got.pose.lon == pytest.approx(want.pose.lon, abs=1e-9)
-                assert got.data == want.data
+                assert got.dynamic_attributes == want.dynamic_attributes
 
     def test_export_is_byte_deterministic(self, rng, tmp_path):
         doc = random_scene(rng, max_objects=10, max_frames=10, base_ts=T0)

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import random_cpm
+from ldm.api import LocalDynamicMap
 from ldm.errors import InvalidElement, InvalidMessage, SceneSyntaxError, SchemaError
 from ldm.geo import GeoBox
 from ldm.ingest import (
@@ -39,9 +40,9 @@ class TestParseOpenlabel:
     def test_minimal_document(self):
         p = parse_openlabel(json.dumps(MINIMAL_SCENE))
         assert len(p.objects) == 1
-        assert len(p.frames) == 1
+        assert p.frame_times == {0: 1000}
         assert p.objects[0].name == "car-7"
-        assert p.frames[0].objects[0].pose.lat == 1.0
+        assert p.objects[0].frames[1000].pose.lat == 1.0
 
     def test_undeclared_object_reference(self):
         doc = json.loads(json.dumps(MINIMAL_SCENE))
@@ -137,7 +138,7 @@ class TestCpmConversion:
             perceived_objects=[PerceivedObject(0, x_distance=1000, y_distance=0)],
         )
         payload = cpm_to_openlabel(msg)
-        pose = payload.frames[0].objects[1].pose
+        pose = payload.objects[1].frames[1000].pose
         assert pose.lat == pytest.approx(0.0, abs=1e-12)
         assert pose.lon == pytest.approx(LON_10M_EAST_AT_EQUATOR, abs=1e-12)
 
@@ -146,14 +147,14 @@ class TestCpmConversion:
         payload = cpm_to_openlabel(msg)
         assert len(payload.objects) == 1
         assert payload.objects[0].name == "station-3"
-        assert payload.frames[0].objects[0].pose.lat == 10.0
+        assert payload.objects[0].frames[1000].pose.lat == 10.0
 
     def test_three_four_five_speed(self):
         msg = CpmMessage(
             1, 1000, GeoPose(0.0, 0.0),
             [PerceivedObject(0, 100, 100, x_speed=300, y_speed=400)],
         )
-        pose = cpm_to_openlabel(msg).frames[0].objects[1].pose
+        pose = cpm_to_openlabel(msg).objects[1].frames[1000].pose
         assert pose.speed == pytest.approx(5.0)
         # atan2(300, 400) east-of-north
         assert pose.heading == pytest.approx(36.8698976458, abs=1e-6)
@@ -172,7 +173,7 @@ class TestCpmConversion:
             payload = cpm_to_openlabel(msg)
             ref = msg.reference_position
             for i, obj in enumerate(msg.perceived_objects):
-                pose = payload.frames[0].objects[i + 1].pose
+                pose = payload.objects[i + 1].frames[msg.generation_time].pose
                 exp_lat, exp_lon = oracles.hp_local_to_wgs84(
                     ref.lat, ref.lon, obj.x_distance / 100.0, obj.y_distance / 100.0
                 )
@@ -183,7 +184,7 @@ class TestCpmConversion:
         msg = CpmMessage(1, 1000, GeoPose(0.0, 0.0),
                          [PerceivedObject(4, 100, 100, confidence=87)])
         payload = cpm_to_openlabel(msg)
-        assert payload.frames[0].objects[1].data == {"confidence": 87}
+        assert payload.objects[1].frames[1000].dynamic_attributes == {"confidence": 87}
         assert payload.objects[1].name == "cpm-1-4"
         assert payload.relations[0].predicate == "perceivedBy"
 
@@ -303,8 +304,8 @@ class TestCommitPayload:
         base = random_cpm(rng, n_objects=2, station_id=9)
         first = parse_cpm(base)
         second = parse_cpm({**base, "generation_time": base["generation_time"] + 100_000})
-        commit_payload(cpm_to_openlabel(first), store, source="v2x")
-        counts = commit_payload(cpm_to_openlabel(second), store, source="v2x")
+        commit_payload(cpm_to_openlabel(first), store)
+        counts = commit_payload(cpm_to_openlabel(second), store)
         assert counts.elements == 0  # same station, same object ids
         assert counts.frames == 3  # station + 2 objects at the new instant
         station = store.find_element(ElementKind.Object, "station-9", "v2x.station")
@@ -335,3 +336,83 @@ class TestCommitPayload:
         assert counts.relations == 1
         rel = store.relations()[0]
         assert rel.frame_span == (1000, 1001)  # remapped into timestamp space
+
+
+class TestPayloadIsTheBatch:
+    """A parsed payload holds the store's own elements and records, and
+    committing it leaves it as parsed."""
+
+    DOC = {"openlabel": {
+        "objects": {
+            "9": {"name": "car-9", "type": "vehicle.car", "static": {"w": 1.8}},
+            "4": {"name": "car-4", "type": "vehicle.car", "layer": "L3"},
+        },
+        "contexts": {"2": {"name": "sign-2", "type": "sign.stop"}},
+        "frames": {
+            "1": {"timestamp": 2000, "objects": {"9": {"pose": {"lat": 1.0, "lon": 2.0}, "source": "v2x"},
+                                                  "4": {"data": {"q": 3}, "timestamp": 2500}}},
+            "0": {"timestamp": 1000, "objects": {"9": {"pose": {"lat": 1.1, "lon": 2.0}, "data": {"q": 1}}},
+                  "contexts": {"2": {"data": {"state": "on"}}}},
+        },
+        "relations": [{"subject": 9, "predicate": "sees", "object": 2, "frame_span": [0, 2]}],
+    }}
+
+    def test_one_payload_commits_alike_into_any_store_and_stays_as_parsed(self, tmp_path):
+        payload = parse_openlabel(self.DOC)
+        exports = []
+        for name, seed in (("a", None), ("seeded", MINIMAL_SCENE), ("b", None)):
+            ldm = LocalDynamicMap()
+            if seed is not None:
+                ldm.add_objects(seed)  # the payload's elements get other ids here
+            ldm.add_objects(payload)
+            out = tmp_path / f"{name}.json"
+            ldm.export(0, 1 << 62, out)
+            exports.append(out.read_bytes())
+        assert exports[0] == exports[2]
+        assert exports[0] != exports[1]
+        assert payload == parse_openlabel(self.DOC)
+
+    @pytest.mark.parametrize("keys", [("0", "1"), ("1", "0")])
+    def test_higher_frame_index_wins_at_one_timestamp(self, keys):
+        frames = {
+            "0": {"timestamp": 1000, "objects": {"0": {"pose": {"lat": 1.0, "lon": 2.0}}}},
+            "1": {"timestamp": 1000, "objects": {"0": {"pose": {"lat": 1.5, "lon": 2.0}}}},
+        }
+        doc = json.loads(json.dumps(MINIMAL_SCENE))
+        doc["openlabel"]["frames"] = {k: frames[k] for k in keys}
+        store = LdmStore()
+        commit_payload(parse_openlabel(doc), store)
+        assert [r.pose.lat for r in store.query_frames(0, 0, 1 << 62)] == [1.5]
+
+    def test_record_timestamp_override_lands_at_its_own_time(self):
+        payload = parse_openlabel(self.DOC)
+        store = LdmStore()
+        commit_payload(payload, store)
+        car4 = store.find_element(ElementKind.Object, "car-4", "vehicle.car")
+        assert [r.timestamp for r in store.query_frames(car4.id, 0, 1 << 62)] == [2500]
+        assert payload.frame_times == {0: 1000, 1: 2000}
+        assert store.relations()[0].frame_span == (1000, 2001)
+
+    def test_repeated_frame_index_replaces_the_frame_after_both_are_checked(self):
+        doc = json.loads(json.dumps(MINIMAL_SCENE))
+        doc["openlabel"]["objects"]["1"] = {"name": "car-8", "type": "vehicle.car"}
+        doc["openlabel"]["frames"] = {
+            "0": {"timestamp": 1000, "objects": {"0": {"pose": {"lat": 1.0, "lon": 2.0}}, "1": {}}},
+            "00": {"timestamp": 2000, "objects": {"0": {"pose": {"lat": 1.5, "lon": 2.0}}}},
+        }
+        payload = parse_openlabel(doc)
+        assert payload.frame_times == {0: 2000}
+        assert {uid: list(e.frames) for uid, e in payload.objects.items()} == {0: [2000], 1: []}
+        doc["openlabel"]["frames"]["0"]["objects"]["7"] = {}
+        with pytest.raises(SchemaError, match="undeclared object uid 7"):
+            parse_openlabel(doc)
+
+    def test_default_source_applies_at_parse(self):
+        payload = parse_openlabel(self.DOC, source="synthetic")
+        assert payload.objects[9].frames[2000].source is FrameSource.V2X
+        assert payload.objects[9].frames[1000].source is FrameSource.Synthetic
+        ldm = LocalDynamicMap()
+        ldm.add_objects(payload, source="local_perception")  # a parsed payload keeps its tags
+        car9 = ldm.store.find_element(ElementKind.Object, "car-9", "vehicle.car")
+        assert [r.source for r in ldm.store.query_frames(car9.id, 0, 1 << 62)] == \
+            [FrameSource.Synthetic, FrameSource.V2X]

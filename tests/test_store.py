@@ -98,6 +98,20 @@ class TestUpsert:
         assert commit(rec(0, 400, attrs={"v": 1})) == 1
         assert store.query_frames(0, 0, 1000) == [rec(0, 200), rec(0, 300), rec(0, 400, attrs={"v": 1})]
 
+    def test_given_records_are_never_changed(self):
+        # A record that already carries the stored id is stored as given;
+        # any other is stored as a copy carrying it.
+        store = LdmStore()
+        store.upsert_element(element("car-0"))
+        given = [rec(0, 100, pose=GeoPose(1.0, 2.0)), rec(5, 200, attrs={"v": 1})]
+        batch = [element("car-0"), replace(element("car-1"), id=5)]
+        batch[0].frames = {100: given[0]}
+        batch[1].frames = {200: given[1]}
+        assert store.upsert_elements(batch)[0] == [0, 1]
+        assert [r.element_id for r in given] == [0, 5]
+        assert store.query_frames(0, 0, 1000)[0] is given[0]
+        assert store.query_frames(1, 0, 1000) == [rec(1, 200, attrs={"v": 1})]
+
     def test_keep_ids_preserves_id(self):
         store = LdmStore()
         e = element("car-7")
@@ -302,14 +316,13 @@ class TestEviction:
         text = path.read_text(encoding="utf-8")
         assert text.count("\n") == 1 and ": " not in text and ", " not in text
         payload = parse_openlabel(text)
-        assert {uid: (e.name, e.static) for uid, e in payload.objects.items()} == {
+        assert {uid: (e.name, e.static_attributes) for uid, e in payload.objects.items()} == {
             car: ("car-7", {"brand": "acme"})}
         assert {uid: e.name for uid, e in payload.contexts.items()} == {phase: "phase-1"}
         got = {}
-        for frame in payload.frames.values():
-            for uid, data in (*frame.objects.items(), *frame.contexts.items()):
-                got[uid, frame.timestamp] = FrameRecord(frame.timestamp, uid, data.pose, data.data,
-                                                        FrameSource(data.source))
+        for uid, e in (*payload.objects.items(), *payload.contexts.items()):
+            for ts, rec in e.frames.items():
+                got[uid, ts] = rec
         assert got == expected
 
     def test_second_pass_at_the_same_time_keeps_the_first_archive(self, tmp_path):
