@@ -169,7 +169,7 @@ def _parse_record(raw, uid: int, ts: Timestamp, source: FrameSource, path: str) 
     _require(isinstance(raw, dict), "frame data must be an object", path)
     tag = raw.get("source")
     if tag is not None:
-        _require(tag in _SOURCES, f"unknown source '{tag}'", f"{path}/source")
+        _require(isinstance(tag, str) and tag in _SOURCES, f"unknown source '{tag}'", f"{path}/source")
         source = _SOURCES[tag]
     own_ts = raw.get("timestamp")
     if own_ts is not None:
@@ -493,6 +493,11 @@ def parse_cpm(document: Union[str, bytes, dict]) -> CpmMessage:
     ref_raw = document.get("reference_position")
     if not isinstance(ref_raw, dict) or "lat" not in ref_raw or "lon" not in ref_raw:
         raise InvalidMessage("reference_position must carry lat and lon", "reference_position")
+    for key in ("lat", "lon", "alt", "heading", "speed"):
+        val = ref_raw.get(key)  # alt, heading and speed may be left out or null
+        if (val is not None or key in ("lat", "lon")) and (
+                isinstance(val, bool) or not isinstance(val, (int, float))):
+            raise InvalidMessage(f"reference_position.{key} must be a number", "reference_position")
     ref = GeoPose(
         lat=float(ref_raw["lat"]),
         lon=float(ref_raw["lon"]),

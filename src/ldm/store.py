@@ -273,6 +273,11 @@ class LdmStore:
         self._tables: dict[ElementKind, dict[LdmLayer, dict[ElementId, _Entry]]] = {
             kind: {layer: {} for layer in LdmLayer} for kind in ElementKind
         }
+        # Zone map of the Object partitions: per layer, a lower bound on
+        # its objects' first frame times. Writes lower it and eviction
+        # passes set it exactly, so that object reads skip the partitions
+        # whose first frame is later than the read.
+        self._object_first_ts: dict[LdmLayer, float] = dict.fromkeys(LdmLayer, math.inf)
         self._by_key: dict[tuple, ElementId] = {}
         self._relations: dict[tuple, Relation] = {}
         self._rels_by_element: dict[ElementId, set[tuple]] = {}
@@ -429,6 +434,8 @@ class LdmStore:
             frames += bool(self._write_frame_locked(entry, rec))
         if recs and e.kind is ElementKind.Object:
             self._rebucket_locked(entry)
+            if recs[0].timestamp < self._object_first_ts[e.layer]:
+                self._object_first_ts[e.layer] = recs[0].timestamp
         return changed, frames
 
     def insert_frame(self, rec: FrameRecord) -> bool:
@@ -453,6 +460,8 @@ class LdmStore:
             stored = self._write_frame_locked(entry, rec) is not None
             if stored and entry.element.kind is ElementKind.Object:
                 self._rebucket_locked(entry)
+                if rec.timestamp < self._object_first_ts[entry.element.layer]:
+                    self._object_first_ts[entry.element.layer] = rec.timestamp
             return stored
 
     def _write_frame_locked(self, entry: _Entry, rec: FrameRecord) -> Optional[bool]:
@@ -545,18 +554,25 @@ class LdmStore:
             expired_frames: dict[ElementId, list[FrameRecord]] = {}
             dead_elements: list[ElementId] = []
             ttls = {layer: self._config.ttl_us(layer) for layer in LdmLayer}
-            for tables in self._tables.values():
+            object_firsts: dict[LdmLayer, float] = {}  # the first frame each partition keeps
+            for kind, tables in self._tables.items():
                 for layer, table in tables.items():
                     ttl = ttls[layer]
                     if not math.isfinite(ttl):
                         continue
                     cutoff = now - ttl
+                    first = math.inf
                     for eid, entry in table.items():
-                        pos = bisect_left(entry.times, cutoff)
+                        times = entry.times
+                        pos = bisect_left(times, cutoff)
                         if pos > 0:
                             expired_frames[eid] = entry.recs[:pos]
-                        if pos == len(entry.times) and now - entry.latest_ts > ttl:
+                        if pos < len(times):
+                            first = times[pos] if times[pos] < first else first
+                        elif now - entry.latest_ts > ttl:
                             dead_elements.append(eid)
+                    if kind is ElementKind.Object:
+                        object_firsts[layer] = first
 
             if self._config.archive_dir and expired_frames:
                 self._archive_locked(now, expired_frames)
@@ -571,6 +587,7 @@ class LdmStore:
                 count += n
             for eid in dead_elements:
                 self._remove_element_locked(eid)
+            self._object_first_ts.update(object_firsts)  # once nothing can abort the pass
             self._evicted_total += count
             return count
 
@@ -705,14 +722,18 @@ class LdmStore:
 
         A box read at or after the last update, with a finite box, visits
         only the objects in the grid cells the box overlaps; any other
-        read scans every object."""
+        read scans only the Object partitions (one per layer) whose first
+        frame is at or before `at`."""
         with self._lock.read():
             # The sum is finite only if every bound is.
             if box is not None and at >= self._last_update and math.isfinite(
                     box.min_lat + box.min_lon + box.max_lat + box.max_lon):
                 return self._grid_entries_locked(box)
             out = []
-            for table in self._tables[ElementKind.Object].values():
+            firsts = self._object_first_ts
+            for layer, table in self._tables[ElementKind.Object].items():
+                if firsts[layer] > at:
+                    continue
                 for entry in table.values():
                     times = entry.times
                     if not times or times[0] > at:

@@ -66,6 +66,16 @@ class TestHandleLine:
         response = handle_line(ldm, json.dumps({"type": "cam", "payload": {}}))
         assert response["ok"] is False
 
+    @pytest.mark.parametrize("source", [[], {}])
+    def test_an_unhashable_source_is_a_schema_error(self, source):
+        ldm = LocalDynamicMap()
+        doc = {"openlabel": {"objects": {"0": {"name": "car-7", "type": "vehicle.car"}},
+                             "frames": {"0": {"timestamp": 1000, "objects": {"0": {"source": source}}}}}}
+        response = handle_line(ldm, json.dumps({"type": "openlabel", "payload": doc}))
+        assert response == {"ok": False, "error": f"SchemaError: unknown source '{source}' at "
+                                                  "'frames/0/objects/0/source'"}
+        assert ldm.store.elements() == []
+
 
 class TestServer:
     def test_valid_line_acked_and_store_updated(self):

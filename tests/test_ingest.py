@@ -109,6 +109,23 @@ class TestCpmParsing:
             parse_cpm({"generation_time": 1, "reference_position": {"lat": 0, "lon": 0}})
         assert err.value.field == "station_id"
 
+    @pytest.mark.parametrize("field,value", [
+        ("lat", "x"), ("heading", "n"), ("lat", True), ("speed", False), ("alt", [1.0]), ("lon", None),
+    ])
+    def test_reference_position_fields_must_be_numbers(self, field, value):
+        doc = random_cpm(random.Random(2), n_objects=1)
+        doc["reference_position"][field] = value
+        with pytest.raises(InvalidMessage) as err:
+            parse_cpm(doc)
+        assert err.value.field == "reference_position"
+        assert field in str(err.value)
+
+    def test_optional_reference_position_fields_may_be_null(self):
+        doc = random_cpm(random.Random(2), n_objects=1)
+        doc["reference_position"].update(alt=None, heading=None, speed=None)
+        ref = parse_cpm(doc).reference_position
+        assert (ref.alt, ref.heading, ref.speed) == (0.0, None, None)
+
     def test_distance_bound_enforced(self):
         doc = random_cpm(random.Random(4), n_objects=1)
         doc["perceived_objects"][0]["x_distance"] = 13_107_101

@@ -355,6 +355,7 @@ class TestEviction:
             store.evict_expired(100 * US)
         assert list(tmp_path.iterdir()) == []
         assert store.stats().frame_count == 1
+        assert [e.element.id for e in store.objects_at(0)] == [eid]
 
     def test_a_pass_searches_only_finite_ttl_entries(self, monkeypatch):
         # k permanent road nodes and n objects: a pass looks up each
@@ -542,6 +543,43 @@ class TestObjectsAt:
         assert {e.frame.timestamp for e in store.objects_at(150)} == {100}
         assert len(searches) == 2000
 
+    def test_a_read_skips_the_partitions_whose_first_frame_is_later(self, monkeypatch):
+        # 2,000 L4 objects with frames after the read time and 10 L3
+        # objects with frames before it: a read visits no L4 entry. A
+        # write at or before the read time into one L4 object, by
+        # insert_frame or by upsert, makes the next read list it, and an
+        # eviction pass that drops every L4 frame before T makes a read
+        # before T visit no L4 entry again.
+        def objects(layer, prefix, n, times):
+            return [SceneElement(0, ElementKind.Object, f"{prefix}-{i}", "vehicle.car", layer, {},
+                                 {ts: FrameRecord(ts, 0) for ts in times}) for i in range(n)]
+
+        store = LdmStore()  # L4 TTL 30 s, L3 600 s
+        cars = store.upsert_elements(objects(LdmLayer.L4_Dynamic, "car", 2000, (100 * US, 101 * US)))[0]
+        cones = store.upsert_elements(objects(LdmLayer.L3_Transient, "cone", 10, (10 * US,)))[0]
+        visited = set()
+        times = store_module._Entry.times
+        monkeypatch.setattr(store_module._Entry, "times", property(
+            lambda entry: visited.add(entry.element.id) or times.__get__(entry), times.__set__))
+
+        def read(at):
+            visited.clear()
+            got = sorted(e.element.id for e in store.objects_at(at))
+            return got, len(visited & set(cars))
+
+        assert read(50 * US) == (cones, 0)
+        assert len(read(100 * US)[0]) == 2010
+        assert store.insert_frame(FrameRecord(40 * US, cars[5]))
+        assert read(50 * US) == (sorted([*cones, cars[5]]), 2000)
+        assert store.evict_expired(71 * US) == 1  # cutoff 41 s: the L4 frame at 40 s goes
+        assert read(50 * US) == (cones, 0)
+        store.upsert_elements(objects(LdmLayer.L4_Dynamic, "car", 1, (45 * US,)))
+        assert read(50 * US) == (sorted([*cones, cars[0]]), 2000)
+        assert store.evict_expired(80 * US) == 1
+        assert read(99 * US) == (cones, 0)
+        assert store.evict_expired(200 * US) == 4000  # every L4 frame and object goes
+        assert read(1 << 62) == (cones, 0)
+
     def test_a_box_read_at_the_latest_update_visits_only_the_box_cells(self, monkeypatch):
         # 2,000 objects over a 20 km square. A write re-buckets the
         # objects whose latest frame it changed, and a read re-buckets
@@ -597,13 +635,14 @@ class TestObjectsAt:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["upsert", "merge", "frame", "evict", "restore"]),
-                              st.integers(0, 5), st.integers(0, 30)), max_size=40))
-    def test_equals_the_object_entries_of_snapshot(self, ops):
+                              st.integers(0, 5), st.integers(0, 30)), max_size=40),
+           st.sampled_from([None, 1, 2]))
+    def test_equals_the_object_entries_of_snapshot(self, ops, cap):
         layers = [LdmLayer.L4_Dynamic, LdmLayer.L3_Transient, LdmLayer.L1_Static]
         store = LdmStore(LdmConfig(ttl_per_layer={
             LdmLayer.L1_Static: math.inf, LdmLayer.L2_QuasiStatic: 30.0,
             LdmLayer.L3_Transient: 10.0, LdmLayer.L4_Dynamic: 4.0,
-        }))
+        }, max_frames_per_element=cap))
         pose = GeoPose(47.6, -122.3)
         for n, (op, i, t) in enumerate(ops):
             kind = ElementKind.Object if i % 2 else ElementKind.Context
