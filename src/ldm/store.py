@@ -274,9 +274,10 @@ class LdmStore:
             kind: {layer: {} for layer in LdmLayer} for kind in ElementKind
         }
         # Zone map of the Object partitions: per layer, a lower bound on
-        # its objects' first frame times. Writes lower it and eviction
-        # passes set it exactly, so that object reads skip the partitions
-        # whose first frame is later than the read.
+        # its objects' first frame times. Only writes move it, down;
+        # eviction drops only a partition's earliest frames, so the bound
+        # stays low. Object reads skip the partitions whose bound is later
+        # than the read.
         self._object_first_ts: dict[LdmLayer, float] = dict.fromkeys(LdmLayer, math.inf)
         self._by_key: dict[tuple, ElementId] = {}
         self._relations: dict[tuple, Relation] = {}
@@ -554,25 +555,18 @@ class LdmStore:
             expired_frames: dict[ElementId, list[FrameRecord]] = {}
             dead_elements: list[ElementId] = []
             ttls = {layer: self._config.ttl_us(layer) for layer in LdmLayer}
-            object_firsts: dict[LdmLayer, float] = {}  # the first frame each partition keeps
-            for kind, tables in self._tables.items():
+            for tables in self._tables.values():
                 for layer, table in tables.items():
                     ttl = ttls[layer]
                     if not math.isfinite(ttl):
                         continue
                     cutoff = now - ttl
-                    first = math.inf
                     for eid, entry in table.items():
-                        times = entry.times
-                        pos = bisect_left(times, cutoff)
+                        pos = bisect_left(entry.times, cutoff)
                         if pos > 0:
                             expired_frames[eid] = entry.recs[:pos]
-                        if pos < len(times):
-                            first = times[pos] if times[pos] < first else first
-                        elif now - entry.latest_ts > ttl:
+                        if pos == len(entry.times) and now - entry.latest_ts > ttl:
                             dead_elements.append(eid)
-                    if kind is ElementKind.Object:
-                        object_firsts[layer] = first
 
             if self._config.archive_dir and expired_frames:
                 self._archive_locked(now, expired_frames)
@@ -587,7 +581,6 @@ class LdmStore:
                 count += n
             for eid in dead_elements:
                 self._remove_element_locked(eid)
-            self._object_first_ts.update(object_firsts)  # once nothing can abort the pass
             self._evicted_total += count
             return count
 

@@ -111,6 +111,7 @@ class TestCpmParsing:
 
     @pytest.mark.parametrize("field,value", [
         ("lat", "x"), ("heading", "n"), ("lat", True), ("speed", False), ("alt", [1.0]), ("lon", None),
+        ("lat", 10 ** 400),
     ])
     def test_reference_position_fields_must_be_numbers(self, field, value):
         doc = random_cpm(random.Random(2), n_objects=1)
