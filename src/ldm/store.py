@@ -723,9 +723,10 @@ class LdmStore:
                     box.min_lat + box.min_lon + box.max_lat + box.max_lon):
                 return self._grid_entries_locked(box)
             out = []
-            firsts = self._object_first_ts
-            for layer, table in self._tables[ElementKind.Object].items():
-                if firsts[layer] > at:
+            # Both dicts hold the layers in LdmLayer order; zip spares
+            # an enum hash per layer.
+            for table, first in zip(self._tables[ElementKind.Object].values(), self._object_first_ts.values()):
+                if first > at:
                     continue
                 for entry in table.values():
                     times = entry.times
