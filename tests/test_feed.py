@@ -76,14 +76,6 @@ class TestHandleLine:
                                                   "'frames/0/objects/0/source'"}
         assert ldm.store.elements() == []
 
-    def test_a_latitude_beyond_the_float_range_is_an_invalid_message(self):
-        ldm = LocalDynamicMap()
-        doc = random_cpm(random.Random(0), n_objects=1)
-        doc["reference_position"]["lat"] = 10 ** 400
-        response = handle_line(ldm, json.dumps({"type": "cpm", "payload": doc}))
-        assert response == {"ok": False, "error": "InvalidMessage: reference_position.lat must be a number"}
-        assert ldm.store.elements() == []
-
 
 class TestServer:
     def test_valid_line_acked_and_store_updated(self):
