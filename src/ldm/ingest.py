@@ -493,20 +493,20 @@ def parse_cpm(document: Union[str, bytes, dict]) -> CpmMessage:
     ref_raw = document.get("reference_position")
     if not isinstance(ref_raw, dict) or "lat" not in ref_raw or "lon" not in ref_raw:
         raise InvalidMessage("reference_position must carry lat and lon", "reference_position")
-    ref = {}
+    vals = {}
     for key in ("lat", "lon", "alt", "heading", "speed"):
         val = ref_raw.get(key)
         if val is None and key not in ("lat", "lon"):
             continue  # alt, heading and speed may be left out or null
         if isinstance(val, (int, float)) and not isinstance(val, bool):
             try:
-                ref[key] = float(val)
+                vals[key] = float(val)
                 continue
             except OverflowError:  # an int beyond the float range
                 pass
         raise InvalidMessage(f"reference_position.{key} must be a number", "reference_position")
-    ref = GeoPose(lat=ref["lat"], lon=ref["lon"], alt=ref.get("alt") or 0.0,
-                  heading=ref.get("heading"), speed=ref.get("speed"))
+    ref = GeoPose(lat=vals["lat"], lon=vals["lon"], alt=vals.get("alt") or 0.0,
+                  heading=vals.get("heading"), speed=vals.get("speed"))
     objs = []
     raw_objs = document.get("perceived_objects", [])
     if not isinstance(raw_objs, list):
